@@ -3,12 +3,10 @@ package session
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
 	"polardraw/internal/core"
-	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 )
 
@@ -69,42 +67,48 @@ func (b *blockingBackend) Close(ctx context.Context) (map[string]*core.Result, e
 
 // TestLocalBackendContext exercises the prompt-cancellation guarantee
 // on the in-process backend under -race: a Dispatch blocked on a
-// wedged pipeline (full session queue behind a stalled OnPoint, full
-// ingress queue) returns ctx.Err() promptly, as does a Finalize
-// waiting on the wedged worker; already-expired contexts short-circuit
-// the fast control calls.
+// wedged pipeline (session worker stalled on its liveMu, full session
+// queue, full ingress queue) returns ctx.Err() promptly, as does a
+// Finalize waiting on the wedged worker; already-expired contexts
+// short-circuit the fast control calls.
 func TestLocalBackendContext(t *testing.T) {
 	_, _, ants := penStreams(t, 1, 3)
 
-	blocked := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
 	lb := NewLocalBackend(LocalConfig{
 		QueueSize: 1,
 		Session: Config{
 			Tracker:   core.Config{Antennas: ants, Window: 0.01},
 			QueueSize: 1,
-			OnPoint: func(string, core.Window, geom.Vec2) {
-				once.Do(func() { close(blocked) })
-				<-release
-			},
 		},
 	})
+	// Open the session, then hold its liveMu: the worker wedges at the
+	// first window close, when it publishes the live position.
+	if err := lb.Dispatch(context.Background(), reader.Sample{EPC: "pen-ctx"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lb.drainIngress(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	lb.m.mu.Lock()
+	s := lb.m.sessions["pen-ctx"]
+	lb.m.mu.Unlock()
+	s.liveMu.Lock()
 	defer func() {
-		close(release)
+		s.liveMu.Unlock()
 		if _, err := lb.Close(context.Background()); err != nil {
 			t.Error(err)
 		}
 	}()
 
-	// Feed samples until the first window closes and OnPoint wedges the
-	// session worker; from there the queues fill and Dispatch must
-	// block.
+	// Feed samples until the worker wedges; from there the queues fill
+	// and Dispatch must block.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		<-blocked
-		time.Sleep(20 * time.Millisecond) // let the queues actually fill
+		for len(s.queue) < cap(s.queue) || len(lb.queue) < cap(lb.queue) {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // let the dispatcher block
 		cancel()
 	}()
 	var dispatchErr error

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"polardraw/internal/core"
-	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 )
 
@@ -48,33 +47,22 @@ func (l *eventLog) get(k EventKind) []Event {
 // backend: per valid window a WindowClose then a Point event (same
 // window payload), Commit segments that concatenate to a prefix of the
 // finalized trajectory, and exactly one Evict per session carrying the
-// same Result Finalize returned. The legacy OnPoint/OnEvict adapters
-// must observe the same occurrences concurrently.
+// same Result Finalize returned. A second, filtered subscription must
+// observe the same Point and Evict occurrences concurrently.
 func TestUnifiedEventStream(t *testing.T) {
 	const pens = 3
 	samples, _, ants := penStreams(t, pens, 77)
 	perEPC := reader.SplitByEPC(samples)
 
-	var cbMu sync.Mutex
-	cbPoints := map[string]int{}
-	cbEvicts := map[string]int{}
 	lb := NewLocalBackend(LocalConfig{Session: Config{
 		Tracker: core.Config{Antennas: ants, Window: 0.2, CommitLag: 8},
-		OnPoint: func(epc string, _ core.Window, _ geom.Vec2) {
-			cbMu.Lock()
-			cbPoints[epc]++
-			cbMu.Unlock()
-		},
-		OnEvict: func(epc string, _ *core.Result, _ error) {
-			cbMu.Lock()
-			cbEvicts[epc]++
-			cbMu.Unlock()
-		},
 	}})
 
 	ctx := context.Background()
 	ch, cancel := lb.Subscribe(ctx)
 	log, done := collect(ch)
+	ch2, cancel2 := lb.SubscribeFiltered(ctx, SubscribeOptions{Kinds: []EventKind{EventPoint, EventEvict}})
+	log2, done2 := collect(ch2)
 
 	if err := lb.DispatchBatch(ctx, samples); err != nil {
 		t.Fatal(err)
@@ -88,6 +76,8 @@ func TestUnifiedEventStream(t *testing.T) {
 	}
 	cancel()
 	<-done
+	cancel2()
+	<-done2
 
 	points := log.get(EventPoint)
 	wcs := log.get(EventWindowClose)
@@ -150,16 +140,22 @@ func TestUnifiedEventStream(t *testing.T) {
 		}
 	}
 
-	// Legacy adapters observed the same occurrences.
-	cbMu.Lock()
-	defer cbMu.Unlock()
+	// The filtered subscription observed the same occurrences.
+	cbPoints := map[string]int{}
+	for _, ev := range log2.get(EventPoint) {
+		cbPoints[ev.EPC]++
+	}
+	cbEvicts := map[string]int{}
+	for _, ev := range log2.get(EventEvict) {
+		cbEvicts[ev.EPC]++
+	}
 	for epc, ps := range perEPCPoints {
 		if cbPoints[epc] != len(ps) {
-			t.Fatalf("EPC %s: OnPoint fired %d times, events carried %d", epc, cbPoints[epc], len(ps))
+			t.Fatalf("EPC %s: filtered subscription saw %d points, events carried %d", epc, cbPoints[epc], len(ps))
 		}
 	}
 	if len(cbEvicts) != pens {
-		t.Fatalf("OnEvict saw %d pens, want %d", len(cbEvicts), pens)
+		t.Fatalf("filtered subscription saw evicts for %d pens, want %d", len(cbEvicts), pens)
 	}
 
 	// Per-EPC counts agree with the windows the sub-streams produced.

@@ -497,7 +497,8 @@ func TestRouterAdmissionBudgets(t *testing.T) {
 	})
 }
 
-// blockingStub parks Dispatch until released, to hold in-flight budget.
+// blockingStub parks DispatchBatch (which the router's Dispatch
+// calls) until released, to hold in-flight budget.
 type blockingStub struct {
 	stubBackend
 	release chan struct{}
@@ -511,12 +512,12 @@ func (b *blockingStub) inCall() bool {
 	return b.calls > 0
 }
 
-func (b *blockingStub) Dispatch(ctx context.Context, smp reader.Sample) error {
+func (b *blockingStub) DispatchBatch(ctx context.Context, batch []reader.Sample) error {
 	b.mu.Lock()
 	b.calls++
 	b.mu.Unlock()
 	<-b.release
-	return b.stubBackend.Dispatch(ctx, smp)
+	return b.stubBackend.DispatchBatch(ctx, batch)
 }
 
 // TestMembershipJoinDoesNotForkStrokes pins the join-stability rule: a

@@ -166,10 +166,10 @@ type pinger interface {
 }
 
 // abandoner is implemented by transports that buffer unacknowledged
-// samples for resend after reconnect (shardrpc.Client with the v3
-// protocol). Failover clears that buffer so the migrated EPCs are not
-// replayed into the dead shard when its transport comes back — every
-// buffered sample is already in the journal.
+// samples for resend after reconnect (shardrpc.Client). Failover
+// clears that buffer so the migrated EPCs are not replayed into the
+// dead shard when its transport comes back — every buffered sample is
+// already in the journal.
 type abandoner interface {
 	AbandonPending()
 }
@@ -668,7 +668,7 @@ func (r *Router) HealthCounts() (healthy, unhealthy int) {
 // in-flight probe round.
 //
 // With a journal attached the heartbeat is what makes failover prompt:
-// the v3 wire protocol buffers dispatches for resend instead of
+// the shardrpc client buffers dispatches for resend instead of
 // failing them, so a dead remote shard often surfaces first as a probe
 // streak, not a call streak.
 func (r *Router) StartHeartbeat(interval time.Duration) {
@@ -1304,62 +1304,9 @@ func (r *Router) admitTrialLocked(rb *routerBackend) bool {
 	return now-last >= int64(halfOpenEvery) && rb.lastTrial.CompareAndSwap(last, now)
 }
 
-// Dispatch routes one sample to its EPC's serving backend, appending
-// it to the journal (when attached) before the backend call — the
-// write-ahead that makes a failed dispatch a delay instead of a loss.
-//
-// Two guards run before the journal sees the sample, so a rejected
-// sample is not recorded twice when the caller retries it. When every
-// backend is unhealthy, Dispatch fails fast with a typed
-// ErrBackendUnavailable (one half-open trial per backend per interval
-// still goes through — that trial is how recovery is detected). When
-// admission control is configured (SetAdmission) and a budget is
-// exhausted, Dispatch sheds with ErrOverloaded instead of queueing
-// behind a saturated shard.
+// Dispatch routes one sample: a one-sample DispatchBatch.
 func (r *Router) Dispatch(ctx context.Context, smp reader.Sample) error {
-	r.ensureRoutable(smp.EPC)
-	r.handoffMu.RLock()
-	defer r.handoffMu.RUnlock()
-	rb := r.resolveLocked(smp.EPC)
-	if !rb.healthy() && !r.anyHealthyLocked() && !r.admitTrialLocked(rb) {
-		rb.dropped.Add(1)
-		return fmt.Errorf("router: backend %s: %w: every backend unhealthy", rb.name, ErrBackendUnavailable)
-	}
-	if a := r.admission; a != nil {
-		if !a.admitBackend(rb) {
-			rb.shed.Add(1)
-			r.telShed(1)
-			return fmt.Errorf("router: backend %s: %w: in-flight budget exhausted", rb.name, ErrOverloaded)
-		}
-		defer a.releaseBackend(rb)
-		if !a.admitRate(1) {
-			rb.shed.Add(1)
-			r.telShed(1)
-			return fmt.Errorf("router: backend %s: %w: sample rate exceeded", rb.name, ErrOverloaded)
-		}
-	}
-	if r.journal != nil {
-		if err := r.journalAppend(smp); err != nil {
-			return err
-		}
-	}
-	rb.dispatched.Add(1)
-	var t0 time.Time
-	if r.tel != nil {
-		t0 = time.Now()
-	}
-	if err := rb.b.Dispatch(ctx, smp); err != nil {
-		rb.dropped.Add(1)
-		if ctx.Err() == nil {
-			rb.fail(err)
-		}
-		return fmt.Errorf("router: backend %s: %w", rb.name, err)
-	}
-	if r.tel != nil {
-		rb.lat.Observe(time.Since(t0).Seconds())
-	}
-	rb.ok()
-	return nil
+	return r.DispatchBatch(ctx, []reader.Sample{smp})
 }
 
 // telShed counts admission sheds into the telemetry registry (the
@@ -1389,8 +1336,19 @@ func (r *Router) journalAppend(smp reader.Sample) error {
 // DispatchBatch partitions the batch by backend — preserving per-EPC
 // order — and forwards each sub-batch with one call, so a remote
 // backend sees one framed message per report instead of one per
-// sample. A failing backend drops only its own sub-batch; the rest
-// still dispatch. The joined errors are returned.
+// sample. Each sub-batch is appended to the journal (when attached)
+// before its backend call — the write-ahead that makes a failed
+// dispatch a delay instead of a loss.
+//
+// Two guards run before the journal sees a sub-batch, so a rejected
+// sample is not recorded twice when the caller retries it. When every
+// backend is unhealthy, the sub-batch fails fast with a typed
+// ErrBackendUnavailable (one half-open trial per backend per interval
+// still goes through — that trial is how recovery is detected). When
+// admission control is configured (SetAdmission) and a budget is
+// exhausted, it sheds with ErrOverloaded instead of queueing behind a
+// saturated shard. A failing backend drops only its own sub-batch; the
+// rest still dispatch. The joined errors are returned.
 func (r *Router) DispatchBatch(ctx context.Context, batch []reader.Sample) error {
 	if len(batch) == 0 {
 		return nil
@@ -1413,23 +1371,19 @@ func (r *Router) DispatchBatch(ctx context.Context, batch []reader.Sample) error
 		sub []reader.Sample
 	}
 	var parts []part
-	idx := make(map[*routerBackend]int, len(r.backends))
 	for _, smp := range batch {
 		rb := r.resolveLocked(smp.EPC)
-		i, ok := idx[rb]
-		if !ok {
-			i = len(parts)
-			idx[rb] = i
+		i := 0
+		for i < len(parts) && parts[i].rb != rb {
+			i++
+		}
+		if i == len(parts) {
 			parts = append(parts, part{rb: rb})
 		}
 		parts[i].sub = append(parts[i].sub, smp)
 	}
-	// Each sub-batch passes the same pre-journal guards as Dispatch
-	// (fail-fast when the whole cluster is down, admission control),
-	// shed or refused whole so no EPC's sample order is split across an
-	// accept/reject boundary. A failing backend drops only its own
-	// sub-batch; the rest still dispatch. The joined errors are
-	// returned.
+	// Each sub-batch passes the pre-journal guards whole, so no EPC's
+	// sample order is split across an accept/reject boundary.
 	var errs []error
 	for _, p := range parts {
 		if !p.rb.healthy() && !r.anyHealthyLocked() && !r.admitTrialLocked(p.rb) {
@@ -1694,7 +1648,7 @@ func (r *Router) forwardFrom(rb *routerBackend, ev Event) {
 	case EventEvict:
 		r.strokeDone(ev.EPC)
 	case EventMembership:
-		// A shard server pushed a new routing table (v4 protocol): apply
+		// A shard server pushed a new routing table: apply
 		// it instead of forwarding it verbatim. Asynchronously, because
 		// ApplyMembership takes the routing write lock and may drain
 		// whole backends while this forwarder must keep consuming its

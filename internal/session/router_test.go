@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"polardraw/internal/core"
-	"polardraw/internal/geom"
 	"polardraw/internal/reader"
 )
 
@@ -276,12 +275,11 @@ func TestRouterHealth(t *testing.T) {
 	}
 }
 
-// TestRouterConcurrentCallbacks exercises the documented concurrency
-// contract of shared OnPoint/OnEvict callbacks under -race: every
-// session worker on every shard behind the router may invoke them
-// simultaneously, so the callbacks themselves must synchronize any
-// shared state (here a mutex-guarded pair of maps). A callback doing
-// plain map/int writes would fail this test under the race detector.
+// TestRouterConcurrentCallbacks exercises event delivery from
+// concurrently publishing shards under -race: every session worker on
+// every shard behind the router publishes at the same time, and one
+// filtered subscription must see every pen's points and exactly one
+// evict per pen.
 func TestRouterConcurrentCallbacks(t *testing.T) {
 	const pens = 8
 	samples, _, ants := penStreams(t, pens, 23)
@@ -290,28 +288,32 @@ func TestRouterConcurrentCallbacks(t *testing.T) {
 		t.Fatalf("scenario produced %d EPCs, want %d", len(perEPC), pens)
 	}
 
-	var mu sync.Mutex
-	points := map[string]int{}
-	evicts := map[string]int{}
 	sm := NewShardedManager(ShardedConfig{
 		Session: Config{
-			Tracker: core.Config{Antennas: ants, Window: 0.25, CommitLag: 8},
-			OnPoint: func(epc string, _ core.Window, _ geom.Vec2) {
-				mu.Lock()
-				points[epc]++
-				mu.Unlock()
-			},
-			OnEvict: func(epc string, _ *core.Result, _ error) {
-				mu.Lock()
-				evicts[epc]++
-				mu.Unlock()
-			},
+			Tracker:     core.Config{Antennas: ants, Window: 0.25, CommitLag: 8},
+			EventBuffer: 1 << 12, // above the run's event count: no sheds
 		},
 		Shards: 4,
 	})
+	ch, cancel := sm.SubscribeFiltered(context.Background(),
+		SubscribeOptions{Kinds: []EventKind{EventPoint, EventEvict}})
+	defer cancel()
+	points := map[string]int{}
+	evicts := map[string]int{}
+	delivered := make(chan struct{})
+	go func() {
+		defer close(delivered)
+		for ev := range ch {
+			if ev.Kind == EventPoint {
+				points[ev.EPC]++
+			} else {
+				evicts[ev.EPC]++
+			}
+		}
+	}()
 
 	// Every pen streams from its own goroutine, so the four shard
-	// workers run hot simultaneously and the callbacks genuinely
+	// workers run hot simultaneously and their publishes genuinely
 	// overlap.
 	var wg sync.WaitGroup
 	for epc := range perEPC {
@@ -331,13 +333,12 @@ func TestRouterConcurrentCallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
+	<-delivered // Close ends the subscription after the final evicts
 	if len(points) != pens {
-		t.Fatalf("OnPoint saw %d pens, want %d", len(points), pens)
+		t.Fatalf("Point events for %d pens, want %d", len(points), pens)
 	}
 	if len(evicts) != pens {
-		t.Fatalf("OnEvict saw %d pens, want %d", len(evicts), pens)
+		t.Fatalf("Evict events for %d pens, want %d", len(evicts), pens)
 	}
 	for epc, n := range evicts {
 		if n != 1 {

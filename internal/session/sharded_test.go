@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,14 +72,11 @@ func TestShardedDemuxMatchesBatch(t *testing.T) {
 func TestShardedStatsAndEviction(t *testing.T) {
 	const pens = 5
 	samples, _, ants := penStreams(t, pens, 11)
-	var evicted atomic.Int64
 	sm := NewShardedManager(ShardedConfig{
-		Session: Config{
-			Tracker: core.Config{Antennas: ants},
-			OnEvict: func(string, *core.Result, error) { evicted.Add(1) },
-		},
-		Shards: 4,
+		Session: Config{Tracker: core.Config{Antennas: ants}},
+		Shards:  4,
 	})
+	evicts := countEvicts(sm)
 	if err := sm.DispatchBatch(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +106,29 @@ func TestShardedStatsAndEviction(t *testing.T) {
 	if sm.Len() != 0 {
 		t.Fatalf("sessions after eviction = %d", sm.Len())
 	}
-	if got := evicted.Load(); got != pens {
-		t.Fatalf("OnEvict fired %d times, want %d", got, pens)
-	}
 	sm.Close(context.Background())
+	got := 0
+	for _, n := range <-evicts {
+		got += n
+	}
+	if got != pens {
+		t.Fatalf("Evict fired %d times, want %d", got, pens)
+	}
+}
+
+// countEvicts subscribes to sm's Evict events and, once Close ends the
+// subscription, delivers how many arrived per EPC.
+func countEvicts(sm *ShardedManager) <-chan map[string]int {
+	ch, _ := sm.SubscribeFiltered(context.Background(), SubscribeOptions{Kinds: []EventKind{EventEvict}})
+	out := make(chan map[string]int, 1)
+	go func() {
+		n := map[string]int{}
+		for ev := range ch {
+			n[ev.EPC]++
+		}
+		out <- n
+	}()
+	return out
 }
 
 // TestShardedJoinLeaveRace exercises the sharded tier under the
@@ -128,17 +143,12 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 	if len(perEPC) != pens {
 		t.Fatalf("scenario produced %d EPCs, want %d", len(perEPC), pens)
 	}
-	var finalized sync.Map // epc -> true once a result or error was delivered
 	sm := NewShardedManager(ShardedConfig{
-		Session: Config{
-			Tracker: core.Config{Antennas: ants, Window: 0.3},
-			OnEvict: func(epc string, _ *core.Result, _ error) {
-				finalized.Store(epc, true)
-			},
-		},
+		Session:   Config{Tracker: core.Config{Antennas: ants, Window: 0.3}},
 		Shards:    3,
 		QueueSize: 64,
 	})
+	evicts := countEvicts(sm)
 
 	epcs := make([]string, 0, pens)
 	for epc := range perEPC {
@@ -200,9 +210,10 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 	<-done
 
 	sm.Close(context.Background())
+	finalized := <-evicts
 	for _, epc := range epcs {
-		if _, ok := finalized.Load(epc); !ok {
-			t.Errorf("EPC %s never reached OnEvict", epc)
+		if finalized[epc] == 0 {
+			t.Errorf("EPC %s never got an Evict event", epc)
 		}
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,8 +17,35 @@ import (
 	"polardraw/internal/session"
 )
 
-// TestVersionHandshake covers both mismatch directions plus the happy
-// path's invariants.
+// fakeShard listens on loopback and hands every accepted connection,
+// after reading its hello, to answer; it counts the connections.
+func fakeShard(t *testing.T, answer func(c net.Conn)) (addr string, conns *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	conns = new(atomic.Int32)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns.Add(1)
+			if _, _, err := readFrame(bufio.NewReader(c)); err == nil {
+				answer(c)
+			}
+			c.Close()
+		}
+	}()
+	return ln.Addr().String(), conns
+}
+
+// TestVersionHandshake pins the strict hello: any version other than
+// protoVersion, or a malformed hello, fails with ErrVersionMismatch on
+// both ends after exactly one connection attempt.
 func TestVersionHandshake(t *testing.T) {
 	_, ants := penStreams(t, 1, 61)
 	_, addr := startServer(t, ServerConfig{Session: sessionCfg(ants, 0.2, 0)})
@@ -31,84 +60,88 @@ func TestVersionHandshake(t *testing.T) {
 	}
 	client.Close(ctx)
 
-	// Old-client direction: a first frame that is not opHello (what a
-	// pre-versioning client sends) gets the explicit mismatch error and
-	// a hangup, never a misparse. (Covered byte-level in
-	// TestServerSurvivesGarbage; here the wrong-version hello.)
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	bw := bufio.NewWriter(raw)
-	var e enc
-	e.u8(protoVersion + 1) // future client
-	if err := writeFrame(bw, opHello, e.b); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
-	op, payload, err := readFrame(raw)
-	if err != nil || op != opResp {
-		t.Fatalf("version-skewed hello: op=0x%02x err=%v", op, err)
-	}
-	d := dec{b: payload}
-	if err := checkStatus(&d); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("version-skewed hello error = %v, want ErrVersionMismatch", err)
-	}
-
-	// Old-server direction: a server that negotiates a version below
-	// the client's floor must fail Dial with ErrVersionMismatch. (A
-	// version between the floor and the client's own is negotiated, not
-	// rejected — see TestProtoNegotiationFallback.)
-	oldLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer oldLn.Close()
-	go func() {
-		c, err := oldLn.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		if _, _, err := readFrame(bufio.NewReader(c)); err != nil {
-			return
-		}
+	// Server side: older and newer versions, an identity-less hello,
+	// truncated defaults, and a first frame that is not a hello all get
+	// the explicit mismatch error, then a hangup.
+	hello := func(v byte, id string, defaults bool) []byte {
 		var e enc
-		e.u8(statusOK)
-		e.u8(protoVersionMin - 1)
-		bw := bufio.NewWriter(c)
-		writeFrame(bw, opResp, e.b)
-		bw.Flush()
-	}()
-	if _, err := Dial(ClientConfig{Addr: oldLn.Addr().String()}); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("dial against skewed server = %v, want ErrVersionMismatch", err)
+		e.u8(v)
+		if id != "" || defaults {
+			_ = e.str(id)
+		}
+		if defaults {
+			encodeOpenOptions(&e, session.OpenOptions{})
+		}
+		return e.b
+	}
+	for _, tc := range []struct {
+		name    string
+		op      byte
+		payload []byte
+	}{
+		{"v4", opHello, hello(protoVersion-1, "c", true)},
+		{"v6", opHello, hello(protoVersion+1, "c", true)},
+		{"empty-id", opHello, hello(protoVersion, "", true)},
+		{"no-defaults", opHello, hello(protoVersion, "c", false)},
+		{"not-hello", opPing, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer raw.Close()
+			bw := bufio.NewWriter(raw)
+			if err := writeFrame(bw, tc.op, tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			bw.Flush()
+			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			br := bufio.NewReader(raw)
+			op, payload, err := readFrame(br)
+			if err != nil || op != opResp {
+				t.Fatalf("op=0x%02x err=%v", op, err)
+			}
+			d := dec{b: payload}
+			if err := checkStatus(&d); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("error = %v, want ErrVersionMismatch", err)
+			}
+			if _, _, err := readFrame(br); !errors.Is(err, io.EOF) {
+				t.Fatalf("after the mismatch: err = %v, want the server to hang up", err)
+			}
+		})
 	}
 
-	// Pre-versioning-server direction: a server that hangs up on the
-	// unknown opHello opcode (exactly what the v1 readLoop did) is
-	// reported as a version mismatch, not a generic failure.
-	preLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer preLn.Close()
-	go func() {
-		// Accept in a loop: the client retries the handshake in the
-		// older dialect after the first hangup, exactly as it would
-		// against a real pre-versioning server that keeps accepting.
-		for {
-			c, err := preLn.Accept()
-			if err != nil {
-				return
-			}
-			readFrame(bufio.NewReader(c)) // see the hello, "unknown opcode"
-			c.Close()
+	// Client side: a server answering with another version, and one
+	// that hangs up on the hello, both fail Dial with
+	// ErrVersionMismatch after exactly one connection.
+	answerV := func(v byte) func(net.Conn) {
+		return func(c net.Conn) {
+			var e enc
+			e.u8(statusOK)
+			e.u8(v)
+			bw := bufio.NewWriter(c)
+			writeFrame(bw, opResp, e.b)
+			bw.Flush()
 		}
-	}()
-	if _, err := Dial(ClientConfig{Addr: preLn.Addr().String()}); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("dial against pre-versioning server = %v, want ErrVersionMismatch", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		answer func(net.Conn)
+	}{
+		{"answers-v4", answerV(protoVersion - 1)},
+		{"answers-v6", answerV(protoVersion + 1)},
+		{"hangs-up", func(net.Conn) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fake, conns := fakeShard(t, tc.answer)
+			if _, err := Dial(ClientConfig{Addr: fake}); !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("Dial = %v, want ErrVersionMismatch", err)
+			}
+			if n := conns.Load(); n != 1 {
+				t.Fatalf("Dial made %d connections, want 1", n)
+			}
+		})
 	}
 }
 
@@ -124,12 +157,9 @@ func TestErrorTaxonomyRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ErrUnknownEPC (and its deprecated alias).
+	// ErrUnknownEPC.
 	if _, err := client.Finalize(ctx, "nobody"); !errors.Is(err, session.ErrUnknownEPC) {
 		t.Fatalf("unknown EPC: %v", err)
-	}
-	if _, err := client.Finalize(ctx, "nobody"); !errors.Is(err, session.ErrUnknownSession) {
-		t.Fatalf("unknown EPC via deprecated alias: %v", err)
 	}
 
 	// ErrSessionLimit: the cap of 1 rejects a second explicit Open.
@@ -240,7 +270,7 @@ func TestOpenOptionsRemoteLocalBitEquivalence(t *testing.T) {
 	}
 }
 
-// TestRemoteSubscribeUnifiedStream checks the v2 event push: a client
+// TestRemoteSubscribeUnifiedStream checks the event push: a client
 // subscription receives the same kinds a local subscription does —
 // WindowClose/Point pairs, Commits, Evicts — with per-EPC payloads
 // prefix-identical to the server side's own subscription.

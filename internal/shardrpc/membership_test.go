@@ -12,7 +12,7 @@ import (
 	"polardraw/internal/session"
 )
 
-// TestMembershipCodecRoundTrip pins the v4 membership wire form:
+// TestMembershipCodecRoundTrip pins the membership wire form:
 // epoch, member list (name, addr, state) survive encode/decode
 // exactly, oversized tables are rejected at encode time, and hostile
 // member counts are rejected before allocation at decode time.
@@ -56,7 +56,7 @@ func TestMembershipCodecRoundTrip(t *testing.T) {
 }
 
 // TestMembershipEventRoundTrip checks EventMembership through the
-// unified event codec used for the v4 push.
+// unified event codec used for the membership push.
 func TestMembershipEventRoundTrip(t *testing.T) {
 	ev := session.Event{
 		Kind:  session.EventMembership,
@@ -77,8 +77,8 @@ func TestMembershipEventRoundTrip(t *testing.T) {
 }
 
 // TestV4ErrorCodesRoundTrip extends the error taxonomy check to the
-// two sentinels v4 introduces: admission sheds and stale membership
-// epochs must survive the wire as errors.Is-able values.
+// admission-shed and stale-membership-epoch sentinels: both must
+// survive the wire as errors.Is-able values.
 func TestV4ErrorCodesRoundTrip(t *testing.T) {
 	for _, sentinel := range []error{session.ErrOverloaded, session.ErrStaleEpoch} {
 		var e enc
@@ -112,7 +112,7 @@ func waitForMembership(t *testing.T, evs <-chan Event) Event {
 	}
 }
 
-// TestMembershipPushStaleAndCatchUp is the v4 e2e: a SetMembership
+// TestMembershipPushStaleAndCatchUp is the membership e2e: a SetMembership
 // from one client fans out to every subscribed client on the same
 // shard, stale epochs are rejected with the typed sentinel, and a
 // late subscriber catches up with the stored table immediately.
@@ -130,9 +130,6 @@ func TestMembershipPushStaleAndCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Detach()
-	if a.Proto() < 4 {
-		t.Fatalf("negotiated v%d, want at least v4", a.Proto())
-	}
 
 	evs, cancel := b.Subscribe(ctx)
 	defer cancel()
@@ -166,7 +163,7 @@ func TestMembershipPushStaleAndCatchUp(t *testing.T) {
 	}
 
 	// A client that subscribes after the fact gets the stored table as
-	// its first membership event (the v4 subscribe catch-up).
+	// its first membership event (the subscribe catch-up).
 	late, err := Dial(ClientConfig{Addr: addr})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +209,7 @@ func TestClientRedialBackoffSchedule(t *testing.T) {
 	down.Store(true)
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	cl.teardownLocked(cl.gen, errors.New("test: connection lost"))
+	cl.teardownLocked(cl.gen.Load(), errors.New("test: connection lost"))
 
 	want := []time.Duration{
 		10 * time.Millisecond,

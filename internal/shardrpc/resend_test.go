@@ -3,7 +3,6 @@ package shardrpc
 import (
 	"bufio"
 	"context"
-	"errors"
 	"io"
 	"net"
 	"reflect"
@@ -100,12 +99,9 @@ func TestSeqResendAfterReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if client.Proto() != int(protoVersion) {
-		t.Fatalf("negotiated v%d, want v%d", client.Proto(), protoVersion)
-	}
 
 	// First half, then a transport failure, then the rest. Dispatch
-	// errors during the outage are delivery delays under v3 — the
+	// errors during the outage are delivery delays — the
 	// samples stay buffered — so only the final flush must succeed.
 	half := len(samples) / 2
 	if err := client.DispatchBatch(ctx, samples[:half]); err != nil {
@@ -147,9 +143,9 @@ func TestSeqResendAfterReconnect(t *testing.T) {
 	}
 }
 
-// dialV3Raw performs a raw v3 handshake with an explicit client
+// dialRaw performs a raw handshake with an explicit client
 // identity, returning the conn and its buffered writer.
-func dialV3Raw(t *testing.T, addr, clientID string) (net.Conn, *bufio.Writer) {
+func dialRaw(t *testing.T, addr, clientID string) (net.Conn, *bufio.Writer) {
 	t.Helper()
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -157,12 +153,8 @@ func dialV3Raw(t *testing.T, addr, clientID string) (net.Conn, *bufio.Writer) {
 	}
 	bw := bufio.NewWriter(raw)
 	var e enc
-	e.u8(protoVersion)
-	if err := e.str(clientID); err != nil {
+	if err := encodeHello(&e, clientID, session.OpenOptions{}); err != nil {
 		t.Fatal(err)
-	}
-	if protoVersion >= 5 {
-		encodeOpenOptions(&e, session.OpenOptions{})
 	}
 	if err := writeFrame(bw, opHello, e.b); err != nil {
 		t.Fatal(err)
@@ -178,7 +170,7 @@ func dialV3Raw(t *testing.T, addr, clientID string) (net.Conn, *bufio.Writer) {
 		t.Fatal(err)
 	}
 	if v := d.u8(); v != protoVersion {
-		t.Fatalf("negotiated v%d, want v%d", v, protoVersion)
+		t.Fatalf("server answered v%d, want v%d", v, protoVersion)
 	}
 	return raw, bw
 }
@@ -224,7 +216,7 @@ func TestSeqDedupIdempotence(t *testing.T) {
 	}
 	frame := df.b
 
-	conn, bw := dialV3Raw(t, addr, "dup-client")
+	conn, bw := dialRaw(t, addr, "dup-client")
 	defer conn.Close()
 	send := func(c net.Conn, w *bufio.Writer) (uint64, uint64) {
 		t.Helper()
@@ -262,7 +254,7 @@ func TestSeqDedupIdempotence(t *testing.T) {
 	// A reconnect with the same identity (exactly what the client's
 	// resend path does) keeps the sequence state.
 	conn.Close()
-	conn2, bw2 := dialV3Raw(t, addr, "dup-client")
+	conn2, bw2 := dialRaw(t, addr, "dup-client")
 	defer conn2.Close()
 	if acked, rejected := send(conn2, bw2); acked != n || rejected != 0 {
 		t.Fatalf("resend after reconnect: acked=%d rejected=%d, want %d/0", acked, rejected, n)
@@ -296,12 +288,14 @@ func TestAckRejectedCountsLost(t *testing.T) {
 	if err := client.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for client.Lost() != n {
-		if time.Now().After(deadline) {
-			t.Fatalf("Lost = %d, want %d rejected samples", client.Lost(), n)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// A synchronous call flushes the samples ahead of its request, and
+	// the server acks them before it answers: Lost is current the
+	// moment the call returns, with no polling.
+	if err := client.Ping(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if lost := client.Lost(); lost != n {
+		t.Fatalf("Lost = %d right after a synchronous call, want %d rejected samples", lost, n)
 	}
 }
 
@@ -417,100 +411,4 @@ func TestResubscribeCatchUpCommits(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// TestProtoNegotiationFallback covers the two ways a client meets an
-// older server: one that answers the v3 hello by negotiating v2 (the
-// in-range downgrade), and a strict v2-era server that rejects the v3
-// hello outright, forcing the client to redial in the legacy dialect.
-// Either way the client runs, and the v3-only durability calls fail
-// with ErrVersionMismatch instead of corrupting the wire.
-func TestProtoNegotiationFallback(t *testing.T) {
-	// swallowServer accepts, answers hellos per answer(), then eats
-	// frames.
-	swallowServer := func(t *testing.T, answer func(helloVersion byte, e *enc) bool) string {
-		t.Helper()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { ln.Close() })
-		go func() {
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func(c net.Conn) {
-					br := bufio.NewReader(c)
-					_, payload, err := readFrame(br)
-					if err != nil {
-						c.Close()
-						return
-					}
-					d := dec{b: payload}
-					v := d.u8()
-					var e enc
-					keep := answer(v, &e)
-					bw := bufio.NewWriter(c)
-					writeFrame(bw, opResp, e.b)
-					bw.Flush()
-					if !keep {
-						c.Close()
-						return
-					}
-					for {
-						if _, _, err := readFrame(br); err != nil {
-							c.Close()
-							return
-						}
-					}
-				}(c)
-			}
-		}()
-		return ln.Addr().String()
-	}
-
-	checkV2Client := func(t *testing.T, addr string) {
-		t.Helper()
-		client, err := Dial(ClientConfig{Addr: addr})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if client.Proto() != int(protoVersionMin) {
-			t.Fatalf("negotiated v%d, want v%d", client.Proto(), protoVersionMin)
-		}
-		if _, err := client.Export(ctx, "pen-1"); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("Export on a v2 link = %v, want ErrVersionMismatch", err)
-		}
-		if err := client.Restore(ctx, "pen-1", []byte("s")); !errors.Is(err, ErrVersionMismatch) {
-			t.Fatalf("Restore on a v2 link = %v, want ErrVersionMismatch", err)
-		}
-		cctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
-		defer cancel()
-		client.Close(cctx) // the fake never answers; the deadline ends it
-	}
-
-	t.Run("negotiated-downgrade", func(t *testing.T) {
-		addr := swallowServer(t, func(_ byte, e *enc) bool {
-			e.u8(statusOK)
-			e.u8(protoVersionMin)
-			return true
-		})
-		checkV2Client(t, addr)
-	})
-
-	t.Run("strict-reject-then-v2", func(t *testing.T) {
-		addr := swallowServer(t, func(v byte, e *enc) bool {
-			if v >= 3 {
-				// A v2-era server refuses the unknown hello shape.
-				encodeError(e, ErrVersionMismatch)
-				return false
-			}
-			e.u8(statusOK)
-			e.u8(protoVersionMin)
-			return true
-		})
-		checkV2Client(t, addr)
-	})
 }

@@ -140,7 +140,7 @@ func TestRemoteLocalEquivalence(t *testing.T) {
 	}
 
 	// Finalizing an unknown EPC round-trips the sentinel.
-	if _, err := client.Finalize(ctx, "no-such-pen"); !errors.Is(err, session.ErrUnknownSession) {
+	if _, err := client.Finalize(ctx, "no-such-pen"); !errors.Is(err, session.ErrUnknownEPC) {
 		t.Fatalf("unknown-session error did not round-trip: %v", err)
 	}
 
@@ -228,15 +228,30 @@ func TestRouterOverRemoteShards(t *testing.T) {
 	}
 }
 
-// pointEvt is one observed OnPoint invocation.
+// pointEvt is one observed EventPoint payload.
 type pointEvt struct {
 	w    core.Window
 	live geom.Vec2
 }
 
-// TestRemoteEvents checks the OnPoint subscription: window-close
+// collectPoints drains a point-event subscription into per-EPC lists
+// under mu; the returned channel closes when the subscription ends.
+func collectPoints(ch <-chan session.Event, mu *sync.Mutex, into map[string][]pointEvt) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range ch {
+			mu.Lock()
+			into[ev.EPC] = append(into[ev.EPC], pointEvt{ev.Window, ev.Live})
+			mu.Unlock()
+		}
+	}()
+	return done
+}
+
+// TestRemoteEvents checks the point-event subscription: window-close
 // events stream back to the client with the same EPC/window/live
-// payload the server-side callback observes, in the same per-EPC
+// payload a server-side subscriber observes, in the same per-EPC
 // order. Events racing the Close response may be cut off, so the
 // remote view must be a per-EPC prefix of the server-side one.
 func TestRemoteEvents(t *testing.T) {
@@ -246,25 +261,22 @@ func TestRemoteEvents(t *testing.T) {
 	var mu sync.Mutex
 	remote := map[string][]pointEvt{}
 	srvSide := map[string][]pointEvt{}
+	points := session.SubscribeOptions{Kinds: []session.EventKind{session.EventPoint}}
 
-	cfg := sessionCfg(ants, 0.25, 0)
-	cfg.OnPoint = func(epc string, w core.Window, live geom.Vec2) {
-		mu.Lock()
-		srvSide[epc] = append(srvSide[epc], pointEvt{w, live})
-		mu.Unlock()
-	}
-	srv, addr := startServer(t, ServerConfig{Session: cfg})
-	client, err := Dial(ClientConfig{
-		Addr: addr,
-		OnPoint: func(epc string, w core.Window, live geom.Vec2) {
-			mu.Lock()
-			remote[epc] = append(remote[epc], pointEvt{w, live})
-			mu.Unlock()
-		},
-	})
+	// Both buffers exceed the run's event count, so neither the server
+	// hub nor the client hub can shed and the prefix comparison below
+	// always runs.
+	srv, addr := startServer(t, ServerConfig{Session: sessionCfg(ants, 0.25, 0), EventBuffer: 1 << 12})
+	srvCh, srvCancel := srv.Manager().SubscribeFiltered(ctx, points)
+	defer srvCancel()
+	srvDone := collectPoints(srvCh, &mu, srvSide)
+	client, err := Dial(ClientConfig{Addr: addr, EventBuffer: 1 << 12})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cliCh, cliCancel := client.SubscribeFiltered(ctx, points)
+	defer cliCancel()
+	cliDone := collectPoints(cliCh, &mu, remote)
 
 	if err := client.DispatchBatch(ctx, samples); err != nil {
 		t.Fatal(err)
@@ -291,8 +303,11 @@ func TestRemoteEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// After Close returns, both sides are quiescent: the client read
-	// loop is down and the server finalized every session.
+	// After Close returns and both subscriptions end, both sides are
+	// quiescent: the client read loop is down and the server finalized
+	// every session.
+	<-cliDone
+	<-srvDone
 	mu.Lock()
 	defer mu.Unlock()
 	if srv.EventsDropped() > 0 {

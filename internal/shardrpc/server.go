@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"polardraw/internal/session"
@@ -15,9 +14,8 @@ import (
 
 // ServerConfig parameterizes a shard server.
 type ServerConfig struct {
-	// Session configures the hosted Manager. Its OnPoint callback, if
-	// set, still fires server-side (the legacy adapter); subscribed
-	// connections receive the unified event stream regardless.
+	// Session configures the hosted Manager; subscribed connections
+	// receive its unified event stream.
 	Session session.Config
 	// EventBuffer bounds each subscribed connection's outgoing event
 	// queue (default session.DefaultEventBuffer). When a slow client
@@ -58,11 +56,10 @@ func newSrvTelemetry(r *telemetry.Registry) srvTelemetry {
 // session queue stalls the connection's read loop, pushing back
 // through TCP to the dispatching client.
 //
-// Every connection must open with the opHello version handshake; the
-// server negotiates down to the client's generation when it can
-// (protoVersionMin is the floor) and fails the connection with an
-// explicit ErrVersionMismatch otherwise, instead of risking frame
-// misparses between mixed-version binaries.
+// Every connection must open with the opHello version handshake; a
+// client speaking any other version gets an explicit
+// ErrVersionMismatch and the connection is dropped, instead of risking
+// frame misparses between mixed-version binaries.
 type Server struct {
 	cfg ServerConfig
 	m   *session.Manager
@@ -72,13 +69,13 @@ type Server struct {
 	ln     net.Listener
 	conns  map[*srvConn]struct{}
 	closed bool
-	// seqs holds per-client-identity dispatch sequence state (v3 acked
-	// dispatch). Keyed by the hello's client ID so it survives
+	// seqs holds per-client-identity dispatch sequence state, keyed by
+	// the hello's client ID so it survives
 	// reconnects: the resend after a reconnect dedups against the same
 	// applied watermark the broken connection advanced.
 	seqs map[string]*clientSeq
 	// mship is the latest cluster membership epoch pushed through this
-	// server (v4). Kept so late subscribers catch up on attach.
+	// server. Kept so late subscribers catch up on attach.
 	mship *session.Membership
 }
 
@@ -134,9 +131,7 @@ func (s *Server) Manager() *session.Manager { return s.m }
 func (s *Server) EventsDropped() uint64 { return s.m.EventsDropped() }
 
 // SetMembership stores a cluster membership epoch and broadcasts it
-// as an EventMembership to every subscribed v4 connection (v3 peers
-// never see the push — their protocol has no frame for it). Epochs
-// must be monotonically increasing; a stale one is rejected with
+// as an EventMembership to every subscribed connection. Epochs must be monotonically increasing; a stale one is rejected with
 // session.ErrStaleEpoch and nothing is broadcast. Typically invoked
 // via a client's SetMembership, but safe to call in-process too.
 func (s *Server) SetMembership(m session.Membership) error {
@@ -256,29 +251,37 @@ func (s *Server) Abort() {
 	}
 }
 
+// maxOutbox bounds the frames a connection may have queued for its
+// writer. A client that stops reading while it keeps sending requests
+// is dropped once its replies pass the bound.
+const maxOutbox = 1 << 16
+
 // srvConn is one client connection.
 type srvConn struct {
 	s *Server
 	c net.Conn
 
-	// proto is the protocol generation agreed in the handshake; seq the
-	// dispatch watermark for the client's identity (v3 only). Both are
-	// set once by the handshake before any other frame is processed;
-	// proto is atomic because membership broadcasts read it from
-	// outside the connection's read loop.
-	proto atomic.Int32
-	seq   *clientSeq
-
-	// defaults holds the client's connect-time decode defaults (v5
-	// hellos carry them), applied to sessions this connection opens
-	// implicitly by dispatching an unseen EPC. Set once by the
-	// handshake, read only by the read loop.
+	// seq is the dispatch watermark for the client's identity; defaults
+	// the client's connect-time decode defaults, applied to sessions
+	// this connection opens implicitly by dispatching an unseen EPC.
+	// Both are set once by the handshake, read only by the read loop.
+	seq      *clientSeq
 	defaults session.OpenOptions
 
-	// wmu serializes frame writes: responses from the request loop and
-	// events from the pump share one stream.
+	// wmu serializes frame writes: the writer goroutine and the event
+	// pump share one stream.
 	wmu sync.Mutex
 	bw  *bufio.Writer
+
+	// The read loop never writes to the socket: it queues responses and
+	// replayed events in out and parks the latest ack in ack, and
+	// writeLoop frames them. A read loop blocked on a socket write would
+	// stop draining a client that is itself blocked writing, and the
+	// connection would deadlock. kick (capacity 1) wakes the writer.
+	outMu sync.Mutex
+	out   []frame
+	ack   []byte
+	kick  chan struct{}
 
 	// subCancel releases the connection's event-hub subscription; set
 	// by opSubscribe, nil before. subKinds mirrors the subscription's
@@ -287,6 +290,12 @@ type srvConn struct {
 	subMu     sync.Mutex
 	subCancel session.CancelFunc
 	subKinds  []session.EventKind
+}
+
+// frame is one queued outbound message.
+type frame struct {
+	op      byte
+	payload []byte
 }
 
 // subWantsKind reports whether the connection's subscription filter
@@ -305,15 +314,12 @@ func (sc *srvConn) subWantsKind(k session.EventKind) bool {
 	return false
 }
 
-// protoVer returns the handshake-negotiated protocol generation (0
-// before the handshake completes).
-func (sc *srvConn) protoVer() byte { return byte(sc.proto.Load()) }
-
 func (s *Server) handle(c net.Conn) {
 	sc := &srvConn{
-		s:  s,
-		c:  c,
-		bw: bufio.NewWriter(c),
+		s:    s,
+		c:    c,
+		bw:   bufio.NewWriter(c),
+		kick: make(chan struct{}, 1),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -324,17 +330,87 @@ func (s *Server) handle(c net.Conn) {
 	s.conns[sc] = struct{}{}
 	s.mu.Unlock()
 
+	done, wrote := make(chan struct{}), make(chan struct{})
+	go func() {
+		sc.writeLoop(done)
+		close(wrote)
+	}()
 	sc.readLoop()
+	close(done)
 
 	sc.unsubscribe()
 	s.mu.Lock()
 	delete(s.conns, sc)
 	s.mu.Unlock()
-	c.Close()
+	c.Close() // unblocks a writer stuck on a dead peer
+	<-wrote
+}
+
+// queue hands one frame to the writer without blocking. It reports
+// false when the outbox is over its bound, and the caller drops the
+// connection.
+func (sc *srvConn) queue(op byte, payload []byte) bool {
+	sc.outMu.Lock()
+	ok := len(sc.out) < maxOutbox
+	if ok {
+		sc.out = append(sc.out, frame{op, payload})
+	}
+	sc.outMu.Unlock()
+	sc.wake()
+	return ok
+}
+
+// setAck parks the latest dispatch acknowledgement for the writer.
+// Acks are cumulative, so an ack the writer has not sent yet is simply
+// replaced.
+func (sc *srvConn) setAck(acked, rejected uint64) {
+	var e enc
+	e.u64(acked)
+	e.u64(rejected)
+	sc.outMu.Lock()
+	sc.ack = e.b
+	sc.outMu.Unlock()
+	sc.wake()
+}
+
+func (sc *srvConn) wake() {
+	select {
+	case sc.kick <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop frames whatever the read loop queued until done closes. A
+// write error closes the connection, which ends the read loop too. The
+// parked ack goes out ahead of the queued responses: it covers every
+// dispatch read before them, so a client that gets a response has
+// already seen the acks (and rejected counts) of the dispatches it sent
+// earlier. Acks are cumulative, so sending one early is harmless.
+func (sc *srvConn) writeLoop(done <-chan struct{}) {
+	for {
+		select {
+		case <-sc.kick:
+		case <-done:
+			return
+		}
+		sc.outMu.Lock()
+		out := sc.out
+		if sc.ack != nil {
+			out = append([]frame{{opAck, sc.ack}}, out...)
+		}
+		sc.out, sc.ack = nil, nil
+		sc.outMu.Unlock()
+		for _, f := range out {
+			if sc.write(f.op, f.payload) != nil {
+				sc.c.Close()
+				return
+			}
+		}
+	}
 }
 
 // subscribe attaches the connection to the manager's unified event
-// stream — narrowed by opts when the client negotiated a filter — and
+// stream — narrowed by opts when the client sent a filter — and
 // starts the pump that frames events onto the wire. A repeat
 // opSubscribe replaces the previous subscription, so a client can
 // re-arm with a different filter on the same connection.
@@ -361,13 +437,9 @@ func (sc *srvConn) subscribe(opts session.SubscribeOptions) {
 	}()
 }
 
-// pushMembership frames one membership event onto the wire if the
-// connection negotiated v4 and is subscribed. Write errors are
-// swallowed — a broken connection is the read loop's problem.
+// pushMembership queues one membership event for the connection if it
+// is subscribed.
 func (sc *srvConn) pushMembership(ev session.Event) {
-	if sc.protoVer() < 4 {
-		return
-	}
 	sc.subMu.Lock()
 	subscribed := sc.subCancel != nil
 	sc.subMu.Unlock()
@@ -378,7 +450,7 @@ func (sc *srvConn) pushMembership(ev session.Event) {
 	if encodeEvent(&e, ev) != nil {
 		return
 	}
-	_ = sc.write(opEvent, e.b)
+	sc.queue(opEvent, e.b)
 }
 
 // unsubscribe releases the event subscription, which also closes the
@@ -406,76 +478,40 @@ func (sc *srvConn) write(op byte, payload []byte) error {
 	return sc.bw.Flush()
 }
 
-// respondErr sends a statusErr response.
-func (sc *srvConn) respondErr(err error) error {
-	var e enc
-	encodeError(&e, err)
-	return sc.write(opResp, e.b)
+// status encodes a response's status: statusOK when err is nil (and
+// reports true, so the caller appends the body), else the error.
+func status(e *enc, err error) bool {
+	if err != nil {
+		encodeError(e, err)
+		return false
+	}
+	e.u8(statusOK)
+	return true
 }
 
 // handshake enforces the version exchange on a connection's first
-// frame. It reports whether the connection may proceed; on any
-// mismatch it answers with the explicit version error (so a
-// protocol-aware peer can surface it) and the caller drops the
-// connection.
+// frame, writing its answer directly: nothing else writes before it.
+// It reports whether the connection may proceed; on any mismatch it
+// answers with the explicit version error (so the peer can surface
+// it) and the caller drops the connection.
 func (sc *srvConn) handshake(op byte, d *dec) bool {
-	if op != opHello {
-		_ = sc.respondErr(fmt.Errorf("%w: expected version handshake, got opcode 0x%02x "+
-			"(client speaks pre-versioning shardrpc?); server speaks v%d",
-			ErrVersionMismatch, op, protoVersion))
-		return false
-	}
-	v := d.u8()
-	if d.err != nil {
-		return false
-	}
-	if v < protoVersionMin {
-		_ = sc.respondErr(fmt.Errorf("%w: client speaks v%d, server speaks v%d (min v%d)",
-			ErrVersionMismatch, v, protoVersion, protoVersionMin))
-		return false
-	}
-	negotiated := min(v, protoVersion)
-	var clientID string
-	if v >= 3 {
-		// From v3 on the hello carries a stable client identity, keying
-		// the dispatch watermark across reconnects. A hello claiming
-		// v3+ without one is a dialect we cannot parse — answer with
-		// the explicit mismatch instead of a silent hangup.
-		clientID = d.str()
-		if d.err != nil {
-			_ = sc.respondErr(fmt.Errorf("%w: client hello claims v%d but is not parseable "+
-				"as v3; server speaks v%d", ErrVersionMismatch, v, protoVersion))
-			return false
-		}
-	}
-	if v >= 5 {
-		// From v5 on the hello also carries the client's default decode
-		// OpenOptions, applied to sessions opened implicitly by this
-		// connection's dispatches.
-		sc.defaults = decodeOpenOptions(d)
-		if d.err != nil {
-			_ = sc.respondErr(fmt.Errorf("%w: client hello claims v%d but is not parseable "+
-				"as v5; server speaks v%d", ErrVersionMismatch, v, protoVersion))
-			return false
-		}
-	}
-	sc.proto.Store(int32(negotiated))
-	if negotiated >= 3 {
-		if clientID == "" {
-			// Defensive: an identity-less v3 peer still dedups within
-			// itself, just not across connections.
-			clientID = fmt.Sprintf("conn:%p", sc)
-		}
-		sc.seq = sc.s.seqFor(clientID)
-	}
 	var e enc
-	e.u8(statusOK)
-	e.u8(negotiated)
-	return sc.write(opResp, e.b) == nil
+	clientID, defaults, err := decodeHello(d)
+	if op != opHello {
+		err = fmt.Errorf("%w: expected version handshake, got opcode 0x%02x; server speaks v%d",
+			ErrVersionMismatch, op, protoVersion)
+	}
+	if status(&e, err) {
+		e.u8(protoVersion)
+		sc.seq = sc.s.seqFor(clientID)
+		sc.defaults = defaults
+	}
+	return sc.write(opResp, e.b) == nil && err == nil
 }
 
 // readLoop processes request frames sequentially until the connection
-// drops or a protocol violation occurs.
+// drops or a protocol violation occurs. It queues every reply for
+// writeLoop instead of writing it.
 func (sc *srvConn) readLoop() {
 	br := bufio.NewReader(sc.c)
 	m := sc.s.m
@@ -494,23 +530,13 @@ func (sc *srvConn) readLoop() {
 			hello = true
 			continue
 		}
+		var e enc // the response
 		switch op {
-		case opDispatch:
-			batch := decodeSamples(&d)
-			if d.err != nil {
-				return
-			}
-			sc.s.tel.batch.Observe(float64(len(batch)))
-			// One-way: an ErrClosed after opClose is deliberately
-			// silent — the client learned the terminal state from its
-			// own Close response.
-			_ = m.DispatchBatchWith(batch, sc.defaults)
-
 		case opDispatchSeq:
 			firstSeq := d.u64()
 			batch := decodeSamples(&d)
-			if d.err != nil || sc.seq == nil {
-				return // malformed, or seq dispatch on a v2 handshake
+			if d.err != nil {
+				return
 			}
 			sc.s.tel.batch.Observe(float64(len(batch)))
 			cs := sc.seq
@@ -527,95 +553,33 @@ func (sc *srvConn) readLoop() {
 			}
 			acked, rejected := cs.applied, cs.rejected
 			cs.mu.Unlock()
-			var e enc
-			e.u64(acked)
-			e.u64(rejected)
-			if sc.write(opAck, e.b) != nil {
-				return
-			}
+			sc.setAck(acked, rejected)
+			continue
 
 		case opSubscribe:
 			var opts session.SubscribeOptions
 			if d.remaining() > 0 {
-				// v5 clients may append an encoded filter; an empty
-				// payload (the only form older dialects emit) means
-				// unfiltered.
+				// An empty payload means unfiltered.
 				opts = decodeSubscribeOptions(&d)
 				if d.err != nil {
 					return
 				}
 			}
 			sc.subscribe(opts)
-			var epcAllow map[string]bool
-			if len(opts.EPCs) > 0 {
-				epcAllow = make(map[string]bool, len(opts.EPCs))
-				for _, epc := range opts.EPCs {
-					epcAllow[epc] = true
-				}
+			if !sc.replay(opts) {
+				return
 			}
-			if sc.protoVer() >= 3 && sc.subWantsKind(session.EventCommit) {
-				// Replay each live session's committed prefix so a
-				// subscriber that reconnected mid-stroke has no gap:
-				// commits that fired during the outage are re-delivered
-				// as one absolute-prefix EventCommit per EPC (consumers
-				// key on CommitStart, so overlap with live commits is
-				// idempotent). The replay honors the same filter the
-				// live subscription enforces.
-				for epc, prefix := range m.CommittedPrefixes() {
-					if epcAllow != nil && !epcAllow[epc] {
-						continue
-					}
-					var e enc
-					ev := session.Event{
-						Kind:        session.EventCommit,
-						EPC:         epc,
-						CommitStart: 0,
-						Segment:     prefix,
-					}
-					if encodeEvent(&e, ev) != nil {
-						continue
-					}
-					if sc.write(opEvent, e.b) != nil {
-						return
-					}
-				}
-			}
-			if sc.protoVer() >= 4 {
-				// Late subscribers catch up on the current membership
-				// epoch the same way they catch up on committed
-				// prefixes: routers dedup by epoch, so a re-delivery
-				// after a reconnect is idempotent.
-				if m, ok := sc.s.Membership(); ok {
-					sc.pushMembership(session.Event{
-						Kind: session.EventMembership, Epoch: m.Epoch, Members: m.Members,
-					})
-				}
-			}
+			continue
 
 		case opMembership:
 			mship := decodeMembership(&d)
 			if d.err != nil {
 				return
 			}
-			var e enc
-			if sc.protoVer() < 4 {
-				encodeError(&e, fmt.Errorf("%w: opMembership needs protocol v4, negotiated v%d",
-					ErrVersionMismatch, sc.protoVer()))
-			} else if err := sc.s.SetMembership(mship); err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
-			}
-			if sc.write(opResp, e.b) != nil {
-				return
-			}
+			status(&e, sc.s.SetMembership(mship))
 
 		case opPing:
-			var e enc
 			e.u8(statusOK)
-			if sc.write(opResp, e.b) != nil {
-				return
-			}
 
 		case opOpen:
 			epc := d.str()
@@ -623,15 +587,7 @@ func (sc *srvConn) readLoop() {
 			if d.err != nil {
 				return
 			}
-			var e enc
-			if err := m.Open(epc, opts); err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
-			}
-			if sc.write(opResp, e.b) != nil {
-				return
-			}
+			status(&e, m.Open(epc, opts))
 
 		case opFinalize:
 			epc := d.str()
@@ -639,15 +595,8 @@ func (sc *srvConn) readLoop() {
 				return
 			}
 			res, err := m.Finalize(epc)
-			var e enc
-			if err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
+			if status(&e, err) {
 				encodeResult(&e, res)
-			}
-			if sc.write(opResp, e.b) != nil {
-				return
 			}
 
 		case opExport:
@@ -656,15 +605,8 @@ func (sc *srvConn) readLoop() {
 				return
 			}
 			state, err := m.Export(epc)
-			var e enc
-			if err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
+			if status(&e, err) {
 				e.bytes(state)
-			}
-			if sc.write(opResp, e.b) != nil {
-				return
 			}
 
 		case opRestore:
@@ -673,52 +615,25 @@ func (sc *srvConn) readLoop() {
 			if d.err != nil {
 				return
 			}
-			var e enc
-			if err := m.Restore(epc, state); err != nil {
-				encodeError(&e, err)
-			} else {
-				e.u8(statusOK)
-			}
-			if sc.write(opResp, e.b) != nil {
-				return
-			}
+			status(&e, m.Restore(epc, state))
 
 		case opStats:
 			st := m.Stats()
-			var e enc
 			e.u8(statusOK)
 			e.u32(uint32(len(st)))
-			bad := false
 			for _, s := range st {
 				if encodeStats(&e, s) != nil {
-					bad = true
+					e = enc{}
+					status(&e, ErrShardClosing)
 					break
 				}
 			}
-			if bad {
-				if sc.respondErr(ErrShardClosing) != nil {
-					return
-				}
-				continue
-			}
-			if sc.write(opResp, e.b) != nil {
-				return
-			}
 
 		case opTelemetry:
-			var e enc
-			if sc.protoVer() < 5 {
-				encodeError(&e, fmt.Errorf("%w: opTelemetry needs protocol v5, negotiated v%d",
-					ErrVersionMismatch, sc.protoVer()))
-			} else {
-				e.u8(statusOK)
-				if err := encodeTelemetry(&e, sc.s.cfg.Telemetry.Snapshot()); err != nil {
-					e = enc{}
-					encodeError(&e, err)
-				}
-			}
-			if sc.write(opResp, e.b) != nil {
-				return
+			e.u8(statusOK)
+			if err := encodeTelemetry(&e, sc.s.cfg.Telemetry.Snapshot()); err != nil {
+				e = enc{}
+				status(&e, err)
 			}
 
 		case opEvictIdle:
@@ -726,48 +641,64 @@ func (sc *srvConn) readLoop() {
 			if d.err != nil {
 				return
 			}
-			n := m.EvictIdle(maxIdle)
-			var e enc
 			e.u8(statusOK)
-			e.u32(uint32(n))
-			if sc.write(opResp, e.b) != nil {
-				return
-			}
+			e.u32(uint32(m.EvictIdle(maxIdle)))
 
 		case opLen:
-			var e enc
 			e.u8(statusOK)
 			e.u32(uint32(m.Len()))
-			if sc.write(opResp, e.b) != nil {
-				return
-			}
 
 		case opClose:
 			results := m.Close()
-			var e enc
 			e.u8(statusOK)
 			e.u32(uint32(len(results)))
-			ok := true
 			for epc, res := range results {
 				if e.str(epc) != nil {
-					ok = false
+					e = enc{}
+					status(&e, ErrShardClosing)
 					break
 				}
 				encodeResult(&e, res)
-			}
-			if !ok {
-				if sc.respondErr(ErrShardClosing) != nil {
-					return
-				}
-				continue
-			}
-			if sc.write(opResp, e.b) != nil {
-				return
 			}
 
 		default:
 			// Unknown opcode: protocol violation, drop the connection.
 			return
 		}
+		if !sc.queue(opResp, e.b) {
+			return
+		}
 	}
+}
+
+// replay brings a fresh subscription up to date. Each live session's
+// committed prefix is re-delivered as one absolute-prefix EventCommit,
+// so a subscriber that reconnected mid-stroke has no gap (consumers key
+// on CommitStart, so overlap with live commits is idempotent); then the
+// current membership epoch (routers dedup by epoch). Both honor the
+// subscription's filter. It reports false when the outbox overflows.
+func (sc *srvConn) replay(opts session.SubscribeOptions) bool {
+	if sc.subWantsKind(session.EventCommit) {
+		var epcAllow map[string]bool
+		if len(opts.EPCs) > 0 {
+			epcAllow = make(map[string]bool, len(opts.EPCs))
+			for _, epc := range opts.EPCs {
+				epcAllow[epc] = true
+			}
+		}
+		for epc, prefix := range sc.s.m.CommittedPrefixes() {
+			if epcAllow != nil && !epcAllow[epc] {
+				continue
+			}
+			var e enc
+			ev := session.Event{Kind: session.EventCommit, EPC: epc, Segment: prefix}
+			if encodeEvent(&e, ev) == nil && !sc.queue(opEvent, e.b) {
+				return false
+			}
+		}
+	}
+	if m, ok := sc.s.Membership(); ok {
+		sc.pushMembership(session.Event{Kind: session.EventMembership, Epoch: m.Epoch, Members: m.Members})
+	}
+	return true
 }

@@ -9,7 +9,7 @@ import (
 	"polardraw/internal/telemetry"
 )
 
-// TestSubscribeOptionsCodecRoundTrip pins the v5 filter wire form:
+// TestSubscribeOptionsCodecRoundTrip pins the filter wire form:
 // kind and EPC allow-lists survive encode/decode exactly, and hostile
 // counts are rejected before allocation.
 func TestSubscribeOptionsCodecRoundTrip(t *testing.T) {
@@ -47,7 +47,7 @@ func TestSubscribeOptionsCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTelemetryCodecRoundTrip pins the v5 snapshot wire form: counters,
+// TestTelemetryCodecRoundTrip pins the snapshot wire form: counters,
 // gauges, and sparse-encoded histograms survive encode/decode exactly,
 // and hostile section counts fail before allocation.
 func TestTelemetryCodecRoundTrip(t *testing.T) {
@@ -91,7 +91,7 @@ func TestTelemetryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTelemetryRPC is the v5 stats path e2e: a server wired to a
+// TestTelemetryRPC is the stats path e2e: a server wired to a
 // registry serves its snapshot over opTelemetry, including decode-layer
 // histograms recorded by the session tier and the server's own RPC
 // frame metrics.
@@ -107,9 +107,6 @@ func TestTelemetryRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Detach()
-	if cl.Proto() < 5 {
-		t.Fatalf("negotiated v%d, want at least v5", cl.Proto())
-	}
 
 	if err := cl.DispatchBatch(ctx, samples); err != nil {
 		t.Fatal(err)
@@ -139,7 +136,7 @@ func TestTelemetryRPC(t *testing.T) {
 	}
 }
 
-// TestFilteredSubscription is the v5 filter e2e: a subscriber narrowed
+// TestFilteredSubscription is the filter e2e: a subscriber narrowed
 // to commit events for one pen receives only those, while an unfiltered
 // peer on a second connection to the same shard sees the full stream.
 func TestFilteredSubscription(t *testing.T) {
@@ -211,7 +208,7 @@ func TestFilteredSubscription(t *testing.T) {
 	}
 }
 
-// TestHelloDefaultsEquivalence is the v5 hello acceptance: decode
+// TestHelloDefaultsEquivalence is the hello-defaults acceptance: decode
 // defaults set on the client travel in the handshake and govern
 // sessions opened implicitly by Dispatch, bit-identically to a local
 // manager fed the same defaults — even though the server's own
