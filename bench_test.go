@@ -567,7 +567,7 @@ func BenchmarkSessionServer(b *testing.B) {
 		m := session.NewManager(session.Config{
 			Tracker: core.Config{Antennas: ants, Window: 0.3},
 		})
-		if err := m.DispatchBatch(samples); err != nil {
+		if err := m.DispatchBatch(context.Background(), samples); err != nil {
 			b.Fatal(err)
 		}
 		results := m.Close()
@@ -579,11 +579,20 @@ func BenchmarkSessionServer(b *testing.B) {
 	b.ReportMetric(float64(len(scenes)), "pens/op")
 }
 
-// BenchmarkShardedServer measures the sharded serving tier: an
-// eight-pen mixed inventory hashed across four shard workers, each
-// demultiplexing into per-pen streaming trackers — the configuration
-// cmd/loadgen scales up.
-func BenchmarkShardedServer(b *testing.B) {
+// shardedBench is the shared fixture of the sharded serving
+// benchmarks: an eight-pen mixed inventory decoded through the
+// single-process tier polardraw.Open builds (session.NewLocalRouter,
+// four shards) at the serving configuration, BeamTopK =
+// core.DefaultBeamTopK.
+type shardedBench struct {
+	ants    [2]rf.Antenna
+	samples []reader.Sample
+	pens    int
+}
+
+const benchShards = 4
+
+func newShardedBench() shardedBench {
 	rig := motion.DefaultRig()
 	ants := rig.Antennas()
 	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
@@ -597,29 +606,50 @@ func BenchmarkShardedServer(b *testing.B) {
 		scenes = append(scenes, reader.TaggedScene{EPC: tag.AD227(uint32(k + 1)).EPC, Scene: sess})
 	}
 	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: scenes[0].EPC, Seed: 1})
-	samples := rd.MultiInventory(scenes)
+	return shardedBench{ants: ants, samples: rd.MultiInventory(scenes), pens: len(scenes)}
+}
+
+// decode runs the inventory once through a fresh tier whose sessions
+// report to reg (nil = telemetry off), after configure (if set) has
+// armed the router, and fails unless every pen decodes. It returns the
+// closed router for post-run checks.
+func (f shardedBench) decode(b *testing.B, reg *telemetry.Registry, configure func(*session.Router)) *session.Router {
+	b.Helper()
+	r, _ := session.NewLocalRouter(session.Config{
+		Tracker: core.Config{
+			Antennas: f.ants, Window: 0.3, CommitLag: 16, BeamTopK: core.DefaultBeamTopK,
+		},
+		Telemetry: reg,
+	}, benchShards)
+	if configure != nil {
+		configure(r)
+	}
+	if err := r.DispatchBatch(context.Background(), f.samples); err != nil {
+		b.Fatal(err)
+	}
+	results, err := r.Close(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(results) != f.pens {
+		b.Fatalf("decoded %d of %d pens", len(results), f.pens)
+	}
+	return r
+}
+
+// BenchmarkShardedServer measures the sharded serving tier: an
+// eight-pen mixed inventory hashed across four in-process shards, each
+// demultiplexing into per-pen streaming trackers — the configuration
+// cmd/loadgen scales up.
+func BenchmarkShardedServer(b *testing.B) {
+	f := newShardedBench()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sm := session.NewShardedManager(session.ShardedConfig{
-			Session: session.Config{
-				Tracker: core.Config{Antennas: ants, Window: 0.3, CommitLag: 16},
-			},
-			Shards: 4,
-		})
-		if err := sm.DispatchBatch(context.Background(), samples); err != nil {
-			b.Fatal(err)
-		}
-		results, err := sm.Close(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(results) != len(scenes) {
-			b.Fatalf("decoded %d of %d pens", len(results), len(scenes))
-		}
+		f.decode(b, nil, nil)
 	}
-	b.ReportMetric(float64(len(samples)), "samples/op")
-	b.ReportMetric(float64(len(scenes)), "pens/op")
-	b.ReportMetric(4, "shards/op")
+	b.ReportMetric(float64(len(f.samples)), "samples/op")
+	b.ReportMetric(float64(f.pens), "pens/op")
+	b.ReportMetric(benchShards, "shards/op")
 }
 
 // BenchmarkDispatchWAL measures what the durability journal costs on
@@ -628,45 +658,17 @@ func BenchmarkShardedServer(b *testing.B) {
 // the file WAL (fsync only at checkpoints and close, so the file
 // variant is dominated by buffered writes, not the disk).
 func BenchmarkDispatchWAL(b *testing.B) {
-	rig := motion.DefaultRig()
-	ants := rig.Antennas()
-	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
-	tag.AD227(1).ApplyTo(ch)
-	letters := []rune{'H', 'E', 'L', 'O', 'W', 'R', 'D', 'S'}
-	scenes := make([]reader.TaggedScene, 0, len(letters))
-	for k, r := range letters {
-		g, _ := font.Lookup(r)
-		path := g.Path().Scale(0.2).Translate(geom.Vec2{X: 0.18, Y: 0.03})
-		sess := motion.Write(path, string(r), motion.Config{Seed: uint64(k + 1)})
-		scenes = append(scenes, reader.TaggedScene{EPC: tag.AD227(uint32(k + 1)).EPC, Scene: sess})
-	}
-	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: scenes[0].EPC, Seed: 1})
-	samples := rd.MultiInventory(scenes)
-
+	f := newShardedBench()
 	run := func(b *testing.B, journal func(b *testing.B) session.Journal) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			sm := session.NewShardedManager(session.ShardedConfig{
-				Session: session.Config{
-					Tracker: core.Config{Antennas: ants, Window: 0.3, CommitLag: 16},
-				},
-				Shards: 4,
+			f.decode(b, nil, func(r *session.Router) {
+				if journal != nil {
+					r.SetJournal(journal(b))
+				}
 			})
-			if journal != nil {
-				sm.Router().SetJournal(journal(b))
-			}
-			if err := sm.DispatchBatch(context.Background(), samples); err != nil {
-				b.Fatal(err)
-			}
-			results, err := sm.Close(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(results) != len(scenes) {
-				b.Fatalf("decoded %d of %d pens", len(results), len(scenes))
-			}
 		}
-		b.ReportMetric(float64(len(samples)), "samples/op")
+		b.ReportMetric(float64(len(f.samples)), "samples/op")
 	}
 
 	b.Run("off", func(b *testing.B) { run(b, nil) })
@@ -694,46 +696,16 @@ func BenchmarkDispatchWAL(b *testing.B) {
 // bookkeeping overhead (one token-bucket take plus two in-flight
 // counter updates per dispatch), not shedding.
 func BenchmarkDispatchAdmission(b *testing.B) {
-	rig := motion.DefaultRig()
-	ants := rig.Antennas()
-	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
-	tag.AD227(1).ApplyTo(ch)
-	letters := []rune{'H', 'E', 'L', 'O', 'W', 'R', 'D', 'S'}
-	scenes := make([]reader.TaggedScene, 0, len(letters))
-	for k, r := range letters {
-		g, _ := font.Lookup(r)
-		path := g.Path().Scale(0.2).Translate(geom.Vec2{X: 0.18, Y: 0.03})
-		sess := motion.Write(path, string(r), motion.Config{Seed: uint64(k + 1)})
-		scenes = append(scenes, reader.TaggedScene{EPC: tag.AD227(uint32(k + 1)).EPC, Scene: sess})
-	}
-	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: scenes[0].EPC, Seed: 1})
-	samples := rd.MultiInventory(scenes)
-
+	f := newShardedBench()
 	run := func(b *testing.B, adm session.AdmissionConfig) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			sm := session.NewShardedManager(session.ShardedConfig{
-				Session: session.Config{
-					Tracker: core.Config{Antennas: ants, Window: 0.3, CommitLag: 16},
-				},
-				Shards: 4,
-			})
-			sm.Router().SetAdmission(adm)
-			if err := sm.DispatchBatch(context.Background(), samples); err != nil {
-				b.Fatal(err)
-			}
-			results, err := sm.Close(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(results) != len(scenes) {
-				b.Fatalf("decoded %d of %d pens", len(results), len(scenes))
-			}
-			if n := sm.Router().Shed(); n != 0 {
+			r := f.decode(b, nil, func(r *session.Router) { r.SetAdmission(adm) })
+			if n := r.Shed(); n != 0 {
 				b.Fatalf("benchmark shed %d samples; limits must admit everything", n)
 			}
 		}
-		b.ReportMetric(float64(len(samples)), "samples/op")
+		b.ReportMetric(float64(len(f.samples)), "samples/op")
 	}
 
 	b.Run("off", func(b *testing.B) { run(b, session.AdmissionConfig{}) })
@@ -749,50 +721,19 @@ func BenchmarkDispatchAdmission(b *testing.B) {
 // recording every decode, session, and router metric. The CI perf gate
 // pins the on/off delta under 5%.
 func BenchmarkDispatchTelemetry(b *testing.B) {
-	rig := motion.DefaultRig()
-	ants := rig.Antennas()
-	ch := &rf.Channel{Reflectors: rf.OfficeReflectors(rig.BoardW)}
-	tag.AD227(1).ApplyTo(ch)
-	letters := []rune{'H', 'E', 'L', 'O', 'W', 'R', 'D', 'S'}
-	scenes := make([]reader.TaggedScene, 0, len(letters))
-	for k, r := range letters {
-		g, _ := font.Lookup(r)
-		path := g.Path().Scale(0.2).Translate(geom.Vec2{X: 0.18, Y: 0.03})
-		sess := motion.Write(path, string(r), motion.Config{Seed: uint64(k + 1)})
-		scenes = append(scenes, reader.TaggedScene{EPC: tag.AD227(uint32(k + 1)).EPC, Scene: sess})
-	}
-	rd := reader.New(reader.Config{Antennas: ants[:], Channel: ch, EPC: scenes[0].EPC, Seed: 1})
-	samples := rd.MultiInventory(scenes)
-
+	f := newShardedBench()
 	run := func(b *testing.B, newReg func() *telemetry.Registry) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
 			reg := newReg()
-			sm := session.NewShardedManager(session.ShardedConfig{
-				Session: session.Config{
-					Tracker:   core.Config{Antennas: ants, Window: 0.3, CommitLag: 16},
-					Telemetry: reg,
-				},
-				Shards: 4,
-			})
-			sm.Router().SetTelemetry(reg)
-			if err := sm.DispatchBatch(context.Background(), samples); err != nil {
-				b.Fatal(err)
-			}
-			results, err := sm.Close(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(results) != len(scenes) {
-				b.Fatalf("decoded %d of %d pens", len(results), len(scenes))
-			}
+			f.decode(b, reg, func(r *session.Router) { r.SetTelemetry(reg) })
 			if reg != nil {
 				if s := reg.Snapshot(); s.Histograms["polardraw_decode_window_close_seconds"].Count == 0 {
 					b.Fatal("telemetry 'on' recorded no decode windows")
 				}
 			}
 		}
-		b.ReportMetric(float64(len(samples)), "samples/op")
+		b.ReportMetric(float64(len(f.samples)), "samples/op")
 	}
 
 	b.Run("off", func(b *testing.B) { run(b, func() *telemetry.Registry { return nil }) })

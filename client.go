@@ -20,11 +20,9 @@ import (
 // and honour their context's deadline and cancellation.
 type Client struct {
 	cfg     clientConfig
-	backend session.ShardBackend
+	router  *session.Router
 	tel     *telemetry.Registry
-
-	sm     *session.ShardedManager // local mode
-	router *session.Router         // remote mode
+	tracker *core.Tracker // the shards' shared tracker; local mode only
 
 	// remotes tracks the live shardrpc connections by backend name.
 	// Membership joins add entries (the router's dialer); leavers are
@@ -51,22 +49,12 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 	if len(cfg.servers) == 0 {
 		sess := cfg.sessionConfig()
 		sess.Telemetry = c.tel
-		c.sm = session.NewShardedManager(session.ShardedConfig{
-			Session:      sess,
-			Shards:       cfg.shards,
-			QueueSize:    cfg.shardQueue,
-			DropWhenFull: cfg.drop,
-		})
-		if cfg.journal != nil {
-			c.sm.Router().SetJournal(cfg.journal)
-		}
-		c.sm.Router().SetAdmission(cfg.admission)
-		c.sm.Router().SetTelemetry(c.tel)
-		sm := c.sm
+		c.router, c.tracker = session.NewLocalRouter(sess, cfg.shards)
 		c.tel.GaugeFunc("polardraw_sessions_live", func() float64 {
-			return float64(sm.Len())
+			n, _ := c.Len(context.Background())
+			return float64(n)
 		})
-		c.backend = c.sm
+		c.configureRouter()
 		return c, nil
 	}
 	c.remotes = make(map[string]*shardrpc.Client, len(cfg.servers))
@@ -108,16 +96,20 @@ func Open(ctx context.Context, opts ...Option) (*Client, error) {
 		c.remoteMu.Unlock()
 		return rc, nil
 	})
-	if cfg.journal != nil {
-		c.router.SetJournal(cfg.journal)
-	}
-	c.router.SetAdmission(cfg.admission)
-	c.router.SetTelemetry(c.tel)
+	c.configureRouter()
 	if cfg.heartbeat > 0 {
 		c.router.StartHeartbeat(cfg.heartbeat)
 	}
-	c.backend = c.router
 	return c, nil
+}
+
+// configureRouter applies the options both topologies share.
+func (c *Client) configureRouter() {
+	if c.cfg.journal != nil {
+		c.router.SetJournal(c.cfg.journal)
+	}
+	c.router.SetAdmission(c.cfg.admission)
+	c.router.SetTelemetry(c.tel)
 }
 
 // closeRemotes abandons already-dialed connections after a failed
@@ -143,7 +135,7 @@ func (c *Client) snapshotRemotes() map[string]*shardrpc.Client {
 }
 
 // Remote reports whether the client fronts remote shard servers.
-func (c *Client) Remote() bool { return c.router != nil }
+func (c *Client) Remote() bool { return c.tracker == nil }
 
 // OpenSession eagerly creates the EPC's session with per-session
 // decode options overriding the backend defaults. Unlike the implicit
@@ -157,37 +149,37 @@ func (c *Client) OpenSession(ctx context.Context, epc string, opts ...SessionOpt
 	for _, op := range opts {
 		op.applySession(&o)
 	}
-	return c.backend.Open(ctx, epc, o)
+	return c.router.Open(ctx, epc, o)
 }
 
 // Dispatch routes one sample to its EPC's session, creating the
 // session on first sight. With blocking backpressure (the default) it
 // returns ctx.Err() if the context ends while queues are full.
 func (c *Client) Dispatch(ctx context.Context, smp Sample) error {
-	return c.backend.Dispatch(ctx, smp)
+	return c.router.Dispatch(ctx, smp)
 }
 
 // DispatchBatch routes a batch (e.g. one RO_ACCESS_REPORT) in order.
 func (c *Client) DispatchBatch(ctx context.Context, batch []Sample) error {
-	return c.backend.DispatchBatch(ctx, batch)
+	return c.router.DispatchBatch(ctx, batch)
 }
 
 // Finalize evicts one session and returns its decoded trajectory
 // (ErrUnknownEPC if none; ErrTooFewSamples if the stream was too
 // short).
 func (c *Client) Finalize(ctx context.Context, epc string) (*Result, error) {
-	return c.backend.Finalize(ctx, epc)
+	return c.router.Finalize(ctx, epc)
 }
 
 // Stats snapshots every live session across all shards, sorted by EPC.
 func (c *Client) Stats(ctx context.Context) ([]Stats, error) {
-	return c.backend.Stats(ctx)
+	return c.router.Stats(ctx)
 }
 
 // EvictIdle finalizes every session idle for at least maxIdle and
 // returns how many were evicted.
 func (c *Client) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, error) {
-	return c.backend.EvictIdle(ctx, maxIdle)
+	return c.router.EvictIdle(ctx, maxIdle)
 }
 
 // Subscribe attaches a consumer to the unified event stream: window
@@ -197,7 +189,7 @@ func (c *Client) EvictIdle(ctx context.Context, maxIdle time.Duration) (int, err
 // a consumer that falls behind loses events rather than stalling
 // decode. Cancel (or ctx expiry) detaches and closes the channel.
 func (c *Client) Subscribe(ctx context.Context) (<-chan Event, CancelFunc) {
-	return c.backend.Subscribe(ctx)
+	return c.router.Subscribe(ctx)
 }
 
 // SubscribeFiltered is Subscribe narrowed by opts: only events whose
@@ -209,7 +201,7 @@ func (c *Client) Subscribe(ctx context.Context) (<-chan Event, CancelFunc) {
 // wire by shard servers — so a consumer watching one pen's
 // commits is not billed the whole tier's fan-out.
 func (c *Client) SubscribeFiltered(ctx context.Context, opts SubscribeOptions) (<-chan Event, CancelFunc) {
-	return c.backend.SubscribeFiltered(ctx, opts)
+	return c.router.SubscribeFiltered(ctx, opts)
 }
 
 // Telemetry exposes the client's metric registry: decode, session,
@@ -233,7 +225,7 @@ func (c *Client) ServeMetrics(addr string) (*MetricsServer, error) {
 // snapshot built from the shards that did answer.
 func (c *Client) ClusterStats(ctx context.Context) (TelemetrySnapshot, error) {
 	agg := c.tel.Snapshot()
-	if c.router == nil {
+	if !c.Remote() {
 		return agg, nil
 	}
 	var errs []error
@@ -253,14 +245,15 @@ func (c *Client) ClusterStats(ctx context.Context) (TelemetrySnapshot, error) {
 // decode are omitted; their Evict events still fire). Close is
 // terminal and idempotent.
 func (c *Client) Close(ctx context.Context) (map[string]*Result, error) {
-	return c.backend.Close(ctx)
+	return c.router.Close(ctx)
 }
 
 // Len returns the number of live sessions across all shards (remote
 // mode polls every server; ctx bounds the sweep).
 func (c *Client) Len(ctx context.Context) (int, error) {
-	if c.sm != nil {
-		return c.sm.Len(), nil
+	if !c.Remote() {
+		st, err := c.router.Stats(ctx)
+		return len(st), err
 	}
 	n := 0
 	for _, rc := range c.snapshotRemotes() {
@@ -275,45 +268,29 @@ func (c *Client) Len(ctx context.Context) (int, error) {
 
 // Backends returns the shard backend names in configuration order
 // (shard-N locally, server addresses remotely).
-func (c *Client) Backends() []string { return c.routerOf().Backends() }
+func (c *Client) Backends() []string { return c.router.Backends() }
 
 // BackendFor reports which backend (by Backends name) the EPC
 // currently routes to, including any failover or Handoff override.
-func (c *Client) BackendFor(epc string) string { return c.routerOf().BackendFor(epc) }
+func (c *Client) BackendFor(epc string) string { return c.router.BackendFor(epc) }
 
 // Health snapshots per-backend routing health in configuration order.
-func (c *Client) Health() []BackendHealth { return c.routerOf().Health() }
+func (c *Client) Health() []BackendHealth { return c.router.Health() }
 
 // HealthCounts summarizes Health into healthy/unhealthy backend
 // counts.
 func (c *Client) HealthCounts() (healthy, unhealthy int) {
-	return c.routerOf().HealthCounts()
-}
-
-func (c *Client) routerOf() *session.Router {
-	if c.sm != nil {
-		return c.sm.Router()
-	}
-	return c.router
+	return c.router.HealthCounts()
 }
 
 // Handoff gracefully moves one EPC's live session to the named backend
 // (see Backends): export on the current owner, checkpoint into the
 // journal, restore on the target, pin the route. Requires WithJournal;
 // use it to drain a shard before maintenance instead of killing it and
-// paying a crash recovery.
+// paying a crash recovery. An EPC with no live session and nothing
+// journaled returns ErrUnknownEPC.
 func (c *Client) Handoff(ctx context.Context, epc, backend string) error {
-	return c.routerOf().Handoff(ctx, epc, backend)
-}
-
-// IngressDropped counts samples discarded at full shard ingress queues
-// (WithDropWhenFull, local mode) — remote shards count drops
-// server-side in their own telemetry.
-func (c *Client) IngressDropped() uint64 {
-	if c.sm != nil {
-		return c.sm.IngressDropped()
-	}
-	return 0
+	return c.router.Handoff(ctx, epc, backend)
 }
 
 // SamplesLost counts samples that are gone for good (remote mode;
@@ -333,22 +310,22 @@ func (c *Client) SamplesLost() uint64 {
 // consumer that falls behind loses events rather than stalling decode
 // (see WithEventBuffer). Shed events are gone; the counter is how an
 // operator notices an under-provisioned consumer.
-func (c *Client) EventsDropped() uint64 { return c.routerOf().EventsDropped() }
+func (c *Client) EventsDropped() uint64 { return c.router.EventsDropped() }
 
 // SamplesShed counts dispatches refused with ErrOverloaded by the
 // admission controller (WithAdmission). Shed samples were never
 // journaled or delivered — the caller decides whether to retry, slow
 // down, or drop.
-func (c *Client) SamplesShed() uint64 { return c.routerOf().Shed() }
+func (c *Client) SamplesShed() uint64 { return c.router.Shed() }
 
 // Membership snapshots the current routing table: the latest applied
 // epoch (0 until the first ApplyMembership) and every backend with its
 // state, in routing order.
-func (c *Client) Membership() Membership { return c.routerOf().Membership() }
+func (c *Client) Membership() Membership { return c.router.Membership() }
 
 // Epoch returns the latest applied membership epoch, 0 until the first
 // ApplyMembership.
-func (c *Client) Epoch() uint64 { return c.routerOf().Epoch() }
+func (c *Client) Epoch() uint64 { return c.router.Epoch() }
 
 // ApplyMembership atomically moves the client's routing table to a new
 // epoch-numbered membership, without restarting anything:
@@ -373,11 +350,11 @@ func (c *Client) Epoch() uint64 { return c.routerOf().Epoch() }
 // pushes are joined and returned; the epoch still applies, so retry
 // stragglers with a later epoch.
 func (c *Client) ApplyMembership(ctx context.Context, m Membership) error {
-	err := c.routerOf().ApplyMembership(ctx, m)
+	err := c.router.ApplyMembership(ctx, m)
 	if err != nil && errors.Is(err, ErrStaleEpoch) {
 		return err
 	}
-	if c.router == nil {
+	if !c.Remote() {
 		return err
 	}
 	// Reconcile the connection map against the applied table: leavers
@@ -410,19 +387,14 @@ func (c *Client) ApplyMembership(ctx context.Context, m Membership) error {
 // cumulative hit/miss counters. Local mode only: remote shards own
 // their grids (ok == false).
 func (c *Client) StencilCacheStats() (hits, misses uint64, ok bool) {
-	if c.sm == nil {
+	if c.tracker == nil {
 		return 0, 0, false
 	}
-	h, m := c.sm.Tracker().StencilCacheStats()
+	h, m := c.tracker.StencilCacheStats()
 	return h, m, true
 }
 
 // Tracker exposes the local tier's shared batch tracker (same grid the
 // sessions use), nil in remote mode. It exists for equivalence tests
 // that compare streamed decodes against batch decodes on one grid.
-func (c *Client) Tracker() *core.Tracker {
-	if c.sm == nil {
-		return nil
-	}
-	return c.sm.Tracker()
-}
+func (c *Client) Tracker() *core.Tracker { return c.tracker }

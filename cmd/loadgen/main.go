@@ -17,8 +17,9 @@
 // creation, steady-state decode, and LRU eviction. Window-close
 // latency is measured per pen as the time from the most recent
 // Dispatch to the Point event that a closed window triggers, i.e.
-// ingress queue + session queue + decode time + event delivery (+ both
-// network hops in remote mode, where the event arrives over the wire).
+// session queue + decode time + event delivery (+ both network hops in
+// remote mode, where the event arrives over the wire). In process,
+// Dispatch enqueues straight into the pen's session queue.
 //
 // By default samples are offered as fast as the tier accepts them, so
 // the numbers characterize saturation. With -pace, samples replay at
@@ -433,7 +434,6 @@ func main() {
 	if hits, misses, ok := c.StencilCacheStats(); ok {
 		fmt.Printf("stencil cache (grid-wide): hits=%d misses=%d (%.1f%% hit rate)\n",
 			hits, misses, hitRate(hits, misses))
-		fmt.Printf("ingress dropped: %d\n", c.IngressDropped())
 	} else {
 		healthy, unhealthy := c.HealthCounts()
 		fmt.Printf("backends: %d healthy, %d unhealthy; samples lost to transport: %d\n",

@@ -289,14 +289,16 @@ func serveLLRP(ctx context.Context, sc experiment.Scenario, addr string, sf *pol
 		}
 	}
 
-	// Shard ingress is asynchronous: let the received counters settle
+	// In process, DispatchBatch returns with every read counted. A
+	// remote shard takes reads asynchronously (dispatch returns once
+	// they are buffered for sending): let its received counters settle
 	// (two identical snapshots 50 ms apart) so the report reflects the
 	// full stream, then close.
 	stats, err := client.Stats(ctx)
 	if err != nil {
 		return err
 	}
-	for settle := 0; settle < 100; settle++ {
+	for settle := 0; client.Remote() && settle < 100; settle++ {
 		time.Sleep(50 * time.Millisecond)
 		next, err := client.Stats(ctx)
 		if err != nil {
@@ -311,7 +313,7 @@ func serveLLRP(ctx context.Context, sc experiment.Scenario, addr string, sf *pol
 			break
 		}
 	}
-	results, err := client.Close(ctx) // drains the remaining queued reports
+	results, err := client.Close(ctx) // drains the session queues
 	if err != nil {
 		return err
 	}

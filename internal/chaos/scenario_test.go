@@ -360,3 +360,204 @@ func TestScenarioStallShedsNotBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// wrappedRouter builds a journaled router over in-process backends
+// named shard-0..n-1 that checkpoint every 2 windows, each behind its
+// own fault injector chosen by faults(name).
+func wrappedRouter(ants [2]rf.Antenna, n int, faults func(name string) *Injector) (*session.Router, session.Journal, []string) {
+	names := make([]string, n)
+	nbs := make([]session.NamedBackend, n)
+	for i := range nbs {
+		names[i] = fmt.Sprintf("shard-%d", i)
+		lb := session.NewLocalBackend(session.LocalConfig{
+			Session: session.Config{Tracker: trackerCfg(ants), CheckpointEvery: 2},
+		})
+		nbs[i] = session.NamedBackend{Name: names[i], Backend: Wrap(lb, faults(names[i]))}
+	}
+	r := session.NewRouter(nbs)
+	j := session.NewMemJournal(0)
+	r.SetJournal(j)
+	return r, j, names
+}
+
+// waitCheckpoints waits until the journal holds a checkpoint for every
+// EPC, so a journal rebuild starts with a Restore.
+func waitCheckpoints(t *testing.T, j session.Journal, epcs []string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, epc := range epcs {
+		for state, _ := j.Checkpoint(epc); state == nil; state, _ = j.Checkpoint(epc) {
+			if time.Now().After(deadline) {
+				t.Fatalf("no checkpoint journaled for %s", epc)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestScenarioDrainExportFaultReported drains a member whose first
+// Export fails, so its session must be rebuilt on the target from the
+// journal, and fails that rebuild's Restore once. The drain must report
+// the fault, not claim the member drained; a later epoch completes the
+// drain and every trajectory stays bit-identical.
+func TestScenarioDrainExportFaultReported(t *testing.T) {
+	ctx := context.Background()
+	samples, ants := penStreams(t, 4, 61)
+	perEPC := reader.SplitByEPC(samples)
+
+	// Rendezvous depends on names only: a backend-less router finds the
+	// first pen's owner before the faults are wired.
+	probe := session.NewRouter([]session.NamedBackend{{Name: "shard-0"}, {Name: "shard-1"}, {Name: "shard-2"}})
+	victim := probe.BackendFor(samples[0].EPC)
+	exportFault := New(5, Rule{Op: OpExport, Count: 1, Fault: Fault{Err: errors.New("injected export fault")}})
+	restoreFault := New(6, Rule{Op: OpRestore, Count: 1, Fault: Fault{Err: errors.New("injected restore fault")}})
+	r, j, names := wrappedRouter(ants, 3, func(name string) *Injector {
+		if name == victim {
+			return exportFault
+		}
+		return restoreFault
+	})
+
+	half := len(samples) / 2
+	for _, smp := range samples[:half] {
+		if err := r.Dispatch(ctx, smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var owned []string
+	for epc := range perEPC {
+		if r.BackendFor(epc) == victim {
+			owned = append(owned, epc)
+		}
+	}
+	waitCheckpoints(t, j, owned)
+
+	draining := func(epoch uint64) session.Membership {
+		m := active(epoch, names...)
+		for i := range m.Members {
+			if m.Members[i].Name == victim {
+				m.Members[i].State = session.StateDraining
+			}
+		}
+		return m
+	}
+	err := r.ApplyMembership(ctx, draining(2))
+	if err == nil || !strings.Contains(err.Error(), "injected restore fault") {
+		t.Fatalf("drain through a failed journal rebuild returned %v, want the injected fault", err)
+	}
+	if exportFault.Fired() != 1 || restoreFault.Fired() != 1 {
+		t.Fatalf("faults fired export=%d restore=%d, want 1 each", exportFault.Fired(), restoreFault.Fired())
+	}
+
+	mid := half + (len(samples)-half)/2
+	for _, smp := range samples[half:mid] {
+		if err := r.Dispatch(ctx, smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.ApplyMembership(ctx, draining(3)); err != nil {
+		t.Fatalf("retry epoch: %v", err)
+	}
+	for epc := range perEPC {
+		if r.BackendFor(epc) == victim {
+			t.Fatalf("%s still routes to %s after the retried drain", epc, victim)
+		}
+	}
+	for _, smp := range samples[mid:] {
+		if err := r.Dispatch(ctx, smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results, err := r.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, results, samples, ants)
+}
+
+// TestScenarioHandoffExportFaultRebuilds hands off a session whose
+// owner fails to export it: the handoff must rebuild the stroke on the
+// target from the journal (checkpoint plus tail) and pin it there, and
+// the finalized trajectories stay bit-identical. The old owner must not
+// keep a copy: once the rebuilt stroke is finalized the EPC routes back
+// to it, and a second stroke for the same EPC must decode from scratch
+// there, in Close's results and in its Close-time Evict event.
+func TestScenarioHandoffExportFaultRebuilds(t *testing.T) {
+	ctx := context.Background()
+	samples, ants := penStreams(t, 3, 67)
+	perEPC := reader.SplitByEPC(samples)
+	in := New(9, Rule{Op: OpExport, Count: 1, Fault: Fault{Err: errors.New("injected export fault")}})
+	r, j, names := wrappedRouter(ants, 2, func(string) *Injector { return in })
+	evicts, cancel := r.SubscribeFiltered(ctx, session.SubscribeOptions{Kinds: []session.EventKind{session.EventEvict}})
+	defer cancel()
+
+	half := len(samples) / 2
+	for _, smp := range samples[:half] {
+		if err := r.Dispatch(ctx, smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epc := samples[0].EPC
+	waitCheckpoints(t, j, []string{epc})
+	from := r.BackendFor(epc)
+	to := names[0]
+	if from == to {
+		to = names[1]
+	}
+	if err := r.Handoff(ctx, epc, to); err != nil {
+		t.Fatalf("handoff from a failed export: %v", err)
+	}
+	if in.Fired() != 1 {
+		t.Fatalf("export fault fired %d times, want 1", in.Fired())
+	}
+	if got := r.BackendFor(epc); got != to {
+		t.Fatalf("after handoff %s routes to %s, want %s", epc, got, to)
+	}
+	for _, smp := range samples[half:] {
+		if err := r.Dispatch(ctx, smp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := r.Finalize(ctx, epc)
+	if err != nil {
+		t.Fatalf("finalize %s: %v", epc, err)
+	}
+	assertIdentical(t, map[string]*core.Result{epc: first}, perEPC[epc], ants)
+	if got := r.BackendFor(epc); got != from {
+		t.Fatalf("after finalize %s routes to %s, want its rendezvous owner %s", epc, got, from)
+	}
+	// A second stroke for the same EPC, on the old owner: the first
+	// stroke's samples again, later in time, so a stale half-stroke left
+	// on the old owner would absorb them and diverge.
+	shift := perEPC[epc][len(perEPC[epc])-1].T + 1
+	var want []reader.Sample
+	for e, ss := range perEPC {
+		if e != epc {
+			want = append(want, ss...)
+		}
+	}
+	for _, smp := range perEPC[epc] {
+		smp.T += shift
+		want = append(want, smp)
+	}
+	if err := r.DispatchBatch(ctx, want[len(want)-len(perEPC[epc]):]); err != nil {
+		t.Fatal(err)
+	}
+	results, err := r.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, results, want, ants)
+
+	// Each EPC's last Evict is its Close-time decode, the second stroke's
+	// for epc. (The first stroke's Evict may be suppressed: Finalize
+	// unpins the EPC before the forwarder sees it.)
+	last := map[string]*core.Result{}
+	for ev := range evicts {
+		if ev.Err != nil {
+			t.Fatalf("evict %s: %v", ev.EPC, ev.Err)
+		}
+		last[ev.EPC] = ev.Result
+	}
+	assertIdentical(t, last, want, ants)
+}

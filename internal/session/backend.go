@@ -2,7 +2,7 @@ package session
 
 import (
 	"context"
-	"sync"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -15,8 +15,8 @@ import (
 // demultiplexes it into per-EPC tracking sessions, and can report or
 // finalize them. Three implementations exist:
 //
-//   - LocalBackend: an in-process Manager behind a bounded ingress
-//     queue and dedicated worker (the shard of PR 2's ShardedManager).
+//   - LocalBackend: an in-process Manager; Dispatch enqueues straight
+//     into the EPC's session queue.
 //   - shardrpc.Client: the same contract spoken over a TCP connection
 //     to a shard server process (shardrpc.Server), for multi-process
 //     and multi-host deployments.
@@ -25,7 +25,7 @@ import (
 //
 // Every method takes a context.Context and honours its deadline and
 // cancellation: an operation that would block — a Dispatch against a
-// full ingress queue, any call against a dead remote — returns
+// full session queue, any call against a dead remote — returns
 // ctx.Err() promptly instead of hanging. Cancelling a call does not
 // corrupt the backend; at worst the operation completes in the
 // background (its outcome still reaches the event stream). Errors are
@@ -78,7 +78,7 @@ type ShardBackend interface {
 	// the EPC. Samples dispatched after Restore continue the stroke
 	// exactly where the snapshot left off.
 	Restore(ctx context.Context, epc string, state []byte) error
-	// Close stops ingress, drains, finalizes every session, and returns
+	// Close stops ingress, finalizes every session, and returns
 	// the decoded results keyed by EPC. Close is terminal.
 	Close(ctx context.Context) (map[string]*core.Result, error)
 }
@@ -104,116 +104,67 @@ func await[T any](ctx context.Context, fn func() T) (T, error) {
 	}
 }
 
+// DefaultShards is the in-process shard count NewLocalRouter builds
+// when asked for none.
+const DefaultShards = 4
+
+// DefaultShardQueue was the depth of the ingress queue in-process
+// shards once kept in front of their session queues. Nothing in this
+// module uses it any more: it survives only because the serving
+// benchmark (servebench) sizes its Finalize barrier with it, and goes
+// with the next change to that benchmark.
+const DefaultShardQueue = 1024
+
 // LocalConfig parameterizes a LocalBackend.
 type LocalConfig struct {
 	// Session configures the backend's Manager.
 	Session Config
-	// QueueSize bounds the ingress queue (default DefaultShardQueue).
-	QueueSize int
-	// DropWhenFull selects the ingress backpressure policy: false
-	// (default) blocks Dispatch until the worker drains; true drops the
-	// sample and counts it in Dropped.
-	DropWhenFull bool
 }
 
-// LocalBackend is the in-process ShardBackend: one Manager fed by a
-// dedicated worker goroutine draining a bounded ingress queue, so
-// decode work proceeds off the dispatcher's goroutine. Per-EPC order
-// is preserved: the single worker dispatches in arrival order into the
-// session's own queue.
+// LocalBackend is the in-process ShardBackend: a Manager whose
+// Dispatch enqueues straight into the EPC's session queue, so decode
+// runs on the session's own worker goroutine and per-EPC order is the
+// dispatch order.
 type LocalBackend struct {
-	cfg   LocalConfig
-	m     *Manager
-	queue chan reader.Sample
-	flush chan chan struct{}
-	done  chan struct{}
-
-	// mu guards closed against ingress sends, with the same
-	// read-side-enqueue pattern sessions use: Dispatch holds the read
-	// lock while sending, Close takes the write lock before closing
-	// the queue.
-	mu     sync.RWMutex
-	closed bool
-
-	dropped atomic.Uint64
+	m      *Manager
+	closed atomic.Bool // Close ran; later calls return (nil, nil)
 }
 
-// NewLocalBackend builds an in-process backend; zero fields take
-// defaults.
+// NewLocalBackend builds an in-process backend with its own tracker;
+// zero fields take defaults.
 func NewLocalBackend(cfg LocalConfig) *LocalBackend {
 	return newLocalBackendWith(cfg, core.New(cfg.Session.Tracker))
 }
 
 // newLocalBackendWith builds a backend around an existing tracker, so
-// a sharded deployment shares one precomputed HMM grid across shards.
+// in-process shards share one precomputed HMM grid.
 func newLocalBackendWith(cfg LocalConfig, tr *core.Tracker) *LocalBackend {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = DefaultShardQueue
-	}
-	lb := &LocalBackend{
-		cfg:   cfg,
-		m:     newManagerWith(cfg.Session, tr),
-		queue: make(chan reader.Sample, cfg.QueueSize),
-		flush: make(chan chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go lb.run()
-	return lb
+	return &LocalBackend{m: newManagerWith(cfg.Session, tr)}
 }
 
-// run drains the ingress queue into the manager until the queue
-// closes, servicing flush barriers in between.
-func (lb *LocalBackend) run() {
-	defer close(lb.done)
-	for {
-		select {
-		case smp, ok := <-lb.queue:
-			if !ok {
-				return
-			}
-			// ErrClosed impossible: the manager closes only after the
-			// queue is drained.
-			_ = lb.m.Dispatch(smp)
-		case ack := <-lb.flush:
-			// Barrier: dispatch everything queued before acking, so a
-			// subsequent Export/Restore observes every earlier sample.
-			for drained := false; !drained; {
-				select {
-				case smp, ok := <-lb.queue:
-					if !ok {
-						close(ack)
-						return
-					}
-					_ = lb.m.Dispatch(smp)
-				default:
-					drained = true
-				}
-			}
-			close(ack)
-		}
+// NewLocalRouter builds the single-process deployment: a Router over
+// n LocalBackends named shard-0 … shard-(n-1) (DefaultShards when
+// n <= 0) that share one core.Tracker, so the HMM grid is built once.
+// It is the same router that fronts remote shardrpc backends; only the
+// transport differs. Membership joins create further in-process shards
+// on the same tracker. The shared tracker is returned alongside, for
+// batch decodes on the shards' grid.
+func NewLocalRouter(cfg Config, n int) (*Router, *core.Tracker) {
+	if n <= 0 {
+		n = DefaultShards
 	}
-}
-
-// drainIngress waits until every sample enqueued before the call has
-// been dispatched into the manager. Returns promptly (without the
-// guarantee) if the backend closes or ctx ends first.
-func (lb *LocalBackend) drainIngress(ctx context.Context) error {
-	ack := make(chan struct{})
-	select {
-	case lb.flush <- ack:
-	case <-lb.done:
-		return nil // Close drained everything already
-	case <-ctx.Done():
-		return ctx.Err()
+	tr := core.New(cfg.Tracker)
+	local := LocalConfig{Session: cfg}
+	nbs := make([]NamedBackend, n)
+	for i := range nbs {
+		nbs[i] = NamedBackend{Name: fmt.Sprintf("shard-%d", i), Backend: newLocalBackendWith(local, tr)}
 	}
-	select {
-	case <-ack:
-		return nil
-	case <-lb.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	r := NewRouter(nbs)
+	r.SetEventBuffer(cfg.EventBuffer)
+	r.SetDialer(func(string, string) (ShardBackend, error) {
+		return newLocalBackendWith(local, tr), nil
+	})
+	return r, tr
 }
 
 // Manager exposes the backend's session manager.
@@ -224,61 +175,23 @@ func (lb *LocalBackend) Open(ctx context.Context, epc string, opts OpenOptions) 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	lb.mu.RLock()
-	defer lb.mu.RUnlock()
-	if lb.closed {
-		return ErrClosed
-	}
-	// Samples for the EPC still queued at ingress were dispatched
-	// before the Open and may race the eager create; Manager.Open's
-	// live-EPC no-op keeps both orders coherent (the earlier incarnation
-	// simply wins, exactly as a re-dispatch after an eviction would).
 	return lb.m.Open(epc, opts)
 }
 
-// Dispatch enqueues one sample. With DropWhenFull unset it blocks
-// while the ingress queue is full, returning ctx.Err() if the context
-// ends first.
+// Dispatch enqueues one sample into its EPC's session queue. With
+// Session.DropWhenFull unset it blocks while that queue is full,
+// returning ctx.Err() if the context ends first.
 func (lb *LocalBackend) Dispatch(ctx context.Context, smp reader.Sample) error {
-	lb.mu.RLock()
-	defer lb.mu.RUnlock()
-	if lb.closed {
-		return ErrClosed
-	}
-	if lb.cfg.DropWhenFull {
-		select {
-		case lb.queue <- smp:
-		default:
-			lb.dropped.Add(1)
-		}
-		return nil
-	}
-	select {
-	case lb.queue <- smp:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return lb.m.Dispatch(ctx, smp)
 }
 
 // DispatchBatch enqueues a batch in order.
 func (lb *LocalBackend) DispatchBatch(ctx context.Context, batch []reader.Sample) error {
-	for _, smp := range batch {
-		if err := lb.Dispatch(ctx, smp); err != nil {
-			return err
-		}
-	}
-	return nil
+	return lb.m.DispatchBatch(ctx, batch)
 }
 
-// Dropped counts samples discarded at a full ingress queue
-// (DropWhenFull mode).
-func (lb *LocalBackend) Dropped() uint64 { return lb.dropped.Load() }
-
-// Finalize evicts one session and returns its decoded trajectory.
-// Samples for the EPC still queued at ingress when Finalize runs are
-// not waited for; they re-open a fresh session when the worker reaches
-// them, exactly as a late sample after an eviction would. If ctx ends
+// Finalize evicts one session and returns its decoded trajectory,
+// which covers every sample dispatched before the call. If ctx ends
 // while the session drains, Finalize returns ctx.Err() and the
 // finalization completes in the background (the result still reaches
 // the event stream).
@@ -327,19 +240,9 @@ func (lb *LocalBackend) SubscribeFiltered(ctx context.Context, opts SubscribeOpt
 	return lb.m.SubscribeFiltered(ctx, opts)
 }
 
-// Export removes the EPC's session and returns its serialized state.
-// The ingress queue is drained first so the snapshot covers every
-// sample dispatched before the call.
+// Export removes the EPC's session and returns its serialized state,
+// which covers every sample dispatched before the call.
 func (lb *LocalBackend) Export(ctx context.Context, epc string) ([]byte, error) {
-	lb.mu.RLock()
-	closed := lb.closed
-	lb.mu.RUnlock()
-	if closed {
-		return nil, ErrClosed
-	}
-	if err := lb.drainIngress(ctx); err != nil {
-		return nil, err
-	}
 	type out struct {
 		state []byte
 		err   error
@@ -355,19 +258,8 @@ func (lb *LocalBackend) Export(ctx context.Context, epc string) ([]byte, error) 
 }
 
 // Restore rebuilds the EPC's session from a snapshot, replacing any
-// live one. The ingress queue is drained first so samples dispatched
-// before the call land in the replaced (pre-snapshot) session rather
-// than being replayed twice into the restored one.
+// live one.
 func (lb *LocalBackend) Restore(ctx context.Context, epc string, state []byte) error {
-	lb.mu.RLock()
-	closed := lb.closed
-	lb.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
-	if err := lb.drainIngress(ctx); err != nil {
-		return err
-	}
 	v, err := await(ctx, func() error { return lb.m.Restore(epc, state) })
 	if err != nil {
 		return err
@@ -378,26 +270,18 @@ func (lb *LocalBackend) Restore(ctx context.Context, epc string, state []byte) e
 // EventsDropped counts events shed at full subscriber buffers.
 func (lb *LocalBackend) EventsDropped() uint64 { return lb.m.EventsDropped() }
 
-// Close stops ingress, drains the queue, finalizes all sessions, and
-// returns the decoded results keyed by EPC. Close is idempotent; later
-// calls return (nil, nil). On ctx expiry the drain-and-finalize keeps
-// running in the background and ctx.Err() is returned.
+// Close finalizes all sessions and returns the decoded results keyed
+// by EPC. Close is idempotent; later calls return (nil, nil). On ctx
+// expiry the finalization keeps running in the background and
+// ctx.Err() is returned.
 func (lb *LocalBackend) Close(ctx context.Context) (map[string]*core.Result, error) {
-	lb.mu.Lock()
-	if lb.closed {
-		lb.mu.Unlock()
+	if lb.closed.Swap(true) {
 		return nil, nil
 	}
-	lb.closed = true
-	close(lb.queue)
-	lb.mu.Unlock()
-	// The close is already committed, so the drain-and-finalize must run
-	// regardless of ctx state (await's early-exit would skip it).
+	// The close is already committed, so the finalization must run
+	// regardless of ctx state (await's early exit would skip it).
 	done := make(chan map[string]*core.Result, 1)
-	go func() {
-		<-lb.done // ingress fully drained into sessions
-		done <- lb.m.Close()
-	}()
+	go func() { done <- lb.m.Close() }()
 	select {
 	case res := <-done:
 		return res, nil
@@ -411,5 +295,4 @@ func (lb *LocalBackend) Close(ctx context.Context) (map[string]*core.Result, err
 var (
 	_ ShardBackend = (*LocalBackend)(nil)
 	_ ShardBackend = (*Router)(nil)
-	_ ShardBackend = (*ShardedManager)(nil)
 )

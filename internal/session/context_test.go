@@ -68,14 +68,13 @@ func (b *blockingBackend) Close(ctx context.Context) (map[string]*core.Result, e
 // TestLocalBackendContext exercises the prompt-cancellation guarantee
 // on the in-process backend under -race: a Dispatch blocked on a
 // wedged pipeline (session worker stalled on its liveMu, full session
-// queue, full ingress queue) returns ctx.Err() promptly, as does a
-// Finalize waiting on the wedged worker; already-expired contexts
-// short-circuit the fast control calls.
+// queue) returns ctx.Err() promptly, as does a Finalize waiting on the
+// wedged worker; already-expired contexts short-circuit the fast
+// control calls.
 func TestLocalBackendContext(t *testing.T) {
 	_, _, ants := penStreams(t, 1, 3)
 
 	lb := NewLocalBackend(LocalConfig{
-		QueueSize: 1,
 		Session: Config{
 			Tracker:   core.Config{Antennas: ants, Window: 0.01},
 			QueueSize: 1,
@@ -84,9 +83,6 @@ func TestLocalBackendContext(t *testing.T) {
 	// Open the session, then hold its liveMu: the worker wedges at the
 	// first window close, when it publishes the live position.
 	if err := lb.Dispatch(context.Background(), reader.Sample{EPC: "pen-ctx"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lb.drainIngress(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	lb.m.mu.Lock()
@@ -100,12 +96,12 @@ func TestLocalBackendContext(t *testing.T) {
 		}
 	}()
 
-	// Feed samples until the worker wedges; from there the queues fill
-	// and Dispatch must block.
+	// Feed samples until the worker wedges; from there the session
+	// queue fills and Dispatch must block.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		for len(s.queue) < cap(s.queue) || len(lb.queue) < cap(lb.queue) {
+		for len(s.queue) < cap(s.queue) {
 			time.Sleep(time.Millisecond)
 		}
 		time.Sleep(20 * time.Millisecond) // let the dispatcher block

@@ -10,6 +10,7 @@ import (
 
 	"polardraw/internal/core"
 	"polardraw/internal/reader"
+	"polardraw/internal/telemetry"
 )
 
 func (s *stubBackend) setFail(err error) {
@@ -268,7 +269,7 @@ func TestManagerCheckpointRestoreBitIdentical(t *testing.T) {
 
 	m1 := NewManager(base)
 	for _, s := range samples {
-		if err := m1.Dispatch(s); err != nil {
+		if err := m1.Dispatch(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +296,7 @@ func TestManagerCheckpointRestoreBitIdentical(t *testing.T) {
 		}
 	}()
 	for _, s := range samples {
-		if err := m2.Dispatch(s); err != nil {
+		if err := m2.Dispatch(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -323,7 +324,7 @@ func TestManagerCheckpointRestoreBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range samples[cov:] {
-		if err := m3.Dispatch(s); err != nil {
+		if err := m3.Dispatch(context.Background(), s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,5 +362,82 @@ func TestRouterFinalizeReleasesJournal(t *testing.T) {
 	}
 	if got := j.EPCs(); len(got) != 0 {
 		t.Fatalf("journal still holds %v after finalize", got)
+	}
+}
+
+// TestRouterMigrationsCounter pins what polardraw_router_migrations_total
+// counts: every completed session move, whichever path made it — one
+// Handoff, one EPC drained off a draining member by export, and one
+// EPC rebuilt from the journal by a failover read 3.
+func TestRouterMigrationsCounter(t *testing.T) {
+	ctx := context.Background()
+	nbs, stubs := namedStubs("a:1", "b:1", "c:1")
+	r := NewRouter(nbs)
+	r.SetJournal(NewMemJournal(0))
+	reg := telemetry.NewRegistry()
+	r.SetTelemetry(reg)
+	migrations := func() int64 { return reg.Snapshot().Counters["polardraw_router_migrations_total"] }
+
+	handed := epcOwnedBy(t, r, "a:1")
+	drained := epcOwnedBy(t, r, "c:1")
+	var failed string
+	for i := 0; i < 1000 && failed == ""; i++ {
+		if epc := "failed-" + time.Duration(i).String(); r.BackendFor(epc) == "a:1" && epc != handed {
+			failed = epc
+		}
+	}
+	for _, epc := range []string{handed, drained, failed} {
+		if err := r.Dispatch(ctx, reader.Sample{EPC: epc, T: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := r.Handoff(ctx, handed, "b:1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := migrations(); got != 1 {
+		t.Fatalf("after a Handoff migrations = %d, want 1", got)
+	}
+	m := Membership{Epoch: 1, Members: []Member{{Name: "a:1"}, {Name: "b:1"}, {Name: "c:1", State: StateDraining}}}
+	if err := r.ApplyMembership(ctx, m); err != nil {
+		t.Fatal(err)
+	}
+	// b:1 (not a:1, which fails over next) must be the drain target, so
+	// the failover below moves exactly one EPC.
+	if got := r.BackendFor(drained); got != "b:1" {
+		t.Fatalf("drained EPC routes to %s, want b:1", got)
+	}
+	if got := migrations(); got != 2 {
+		t.Fatalf("after a drain migrations = %d, want 2", got)
+	}
+	stubs["a:1"].setFail(errors.New("shard down"))
+	tripDown(ctx, t, r, failed, unhealthyAfter)
+	waitFor(t, "failover override", func() bool { return r.BackendFor(failed) == "b:1" })
+	if got := migrations(); got != 3 {
+		t.Fatalf("after a failover migrations = %d, want 3", got)
+	}
+}
+
+// TestRouterHandoffUnknownEPC: handing off an EPC with no live session
+// and nothing journaled reports the owner's ErrUnknownEPC and moves
+// nothing.
+func TestRouterHandoffUnknownEPC(t *testing.T) {
+	ctx := context.Background()
+	_, _, ants := penStreams(t, 1, 5)
+	r, _ := NewLocalRouter(Config{Tracker: core.Config{Antennas: ants}}, 2)
+	r.SetJournal(NewMemJournal(0))
+	defer r.Close(ctx)
+
+	const epc = "never-dispatched"
+	owner := r.BackendFor(epc)
+	to := r.Backends()[0]
+	if to == owner {
+		to = r.Backends()[1]
+	}
+	if err := r.Handoff(ctx, epc, to); !errors.Is(err, ErrUnknownEPC) {
+		t.Fatalf("handoff of an unknown EPC returned %v, want ErrUnknownEPC", err)
+	}
+	if got := r.BackendFor(epc); got != owner {
+		t.Fatalf("after a failed handoff %s routes to %s, want %s", epc, got, owner)
 	}
 }

@@ -174,10 +174,7 @@ func TestRouterEventMergeAndHealth(t *testing.T) {
 	const pens = 4
 	samples, _, ants := penStreams(t, pens, 83)
 
-	sm := NewShardedManager(ShardedConfig{
-		Session: Config{Tracker: core.Config{Antennas: ants, Window: 0.2}},
-		Shards:  3,
-	})
+	sm, _ := NewLocalRouter(Config{Tracker: core.Config{Antennas: ants, Window: 0.2}}, 3)
 	ctx := context.Background()
 	ch, cancel := sm.Subscribe(ctx)
 	log, done := collect(ch)

@@ -338,6 +338,10 @@ type Router struct {
 	hbStop       chan struct{}
 	hbDone       chan struct{}
 	probeTimeout time.Duration // per-probe bound; set before StartHeartbeat
+
+	// closed is set by the first Close; Open and dispatches fail with
+	// ErrClosed from then on, and no failover starts.
+	closed atomic.Bool
 }
 
 // NewRouter builds a router over the given backends. It panics on an
@@ -558,14 +562,16 @@ func (r *Router) healthyAmong(epc string, exclude *routerBackend) *routerBackend
 // ensureRoutable moves an EPC away from a dead shard on the dispatch
 // path: with a journal attached, an EPC with no override whose
 // rendezvous winner is down is migrated to the healthy runner-up
-// before the sample dispatches — a full migration (checkpoint restore
-// plus journal replay, see migrateLocked), not a bare re-pin, because
-// the EPC may be mid-stroke with history only the journal remembers.
-// A brand-new stroke (nothing journaled yet) degenerates to just the
-// pin. Without a journal routing never moves (health is advisory),
-// and an EPC the failover already migrated keeps its override. Races
-// with the down-transition's failover goroutine are benign: whichever
-// side pins first wins, the other observes the override and skips.
+// before the sample dispatches — a full journal rebuild (see
+// moveLocked), not a bare re-pin, because the EPC may be mid-stroke
+// with history only the journal remembers. A brand-new stroke (nothing
+// journaled yet) degenerates to just the pin. A failed rebuild leaves
+// the EPC where it was: the sample is still journaled, and the next
+// dispatch retries. Without a journal routing never moves (health is
+// advisory), and an EPC the failover already migrated keeps its
+// override. Races with the down-transition's failover goroutine are
+// benign: whichever side pins first wins, the other observes the
+// override and skips.
 func (r *Router) ensureRoutable(epc string) {
 	if r.journal == nil {
 		return
@@ -587,7 +593,7 @@ func (r *Router) ensureRoutable(epc string) {
 	}
 	if alt := r.healthyAmong(epc, rb); alt != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), failoverTimeout)
-		r.migrateLocked(ctx, epc, alt)
+		_ = r.moveLocked(ctx, epc, rb, alt, false)
 		cancel()
 	}
 }
@@ -799,7 +805,7 @@ func (r *Router) Shed() uint64 {
 // remote restore calls. The migrating flag dedups the call- and
 // ping-streak transitions racing each other.
 func (r *Router) backendDown(rb *routerBackend) {
-	if r.journal == nil {
+	if r.journal == nil || r.closed.Load() {
 		return
 	}
 	rb.stMu.Lock()
@@ -820,13 +826,13 @@ func (r *Router) backendDown(rb *routerBackend) {
 }
 
 // failover migrates every journaled EPC served by the dead backend to
-// a healthy one: restore from the latest checkpoint (or re-open with
-// the recorded options), replay the journal tail, and pin an override.
-// Each EPC migrates under the write lock, so dispatch traffic observes
-// either the old backend (its samples are journaled, hence replayed)
-// or the completed migration — never a half-moved stroke. An EPC whose
-// migration fails stays routed to the dead backend with its journal
-// intact; a later down-transition (or recovery) retries.
+// a healthy one (moveLocked's journal rebuild: the dead backend is not
+// asked to export). Each EPC migrates under the write lock, so dispatch
+// traffic observes either the old backend (its samples are journaled,
+// hence replayed) or the completed migration — never a half-moved
+// stroke. An EPC whose migration fails stays routed to the dead backend
+// with its journal intact; a later down-transition (or recovery)
+// retries.
 func (r *Router) failover(dead *routerBackend) {
 	j := r.journal
 	if j == nil {
@@ -843,62 +849,129 @@ func (r *Router) failover(dead *routerBackend) {
 	for _, epc := range j.EPCs() {
 		ctx, cancel := context.WithTimeout(context.Background(), failoverTimeout)
 		r.handoffMu.Lock()
-		if r.resolveLocked(epc) != dead {
-			r.handoffMu.Unlock()
-			cancel()
-			continue
+		if r.resolveLocked(epc) == dead {
+			if target := r.healthyAmong(epc, dead); target != nil {
+				_ = r.moveLocked(ctx, epc, dead, target, false)
+			} // else nowhere to go; the journal keeps the stroke
 		}
-		target := r.healthyAmong(epc, dead)
-		if target == nil {
-			r.handoffMu.Unlock()
-			cancel()
-			continue // nowhere to go; the journal keeps the stroke
-		}
-		r.migrateLocked(ctx, epc, target)
 		r.handoffMu.Unlock()
 		cancel()
 	}
 }
 
-// migrateLocked rebuilds one EPC on target from checkpoint + journal
-// replay and pins the override. Caller holds the write lock and owns
-// ctx.
-func (r *Router) migrateLocked(ctx context.Context, epc string, target *routerBackend) {
-	j := r.journal
-	state, covered := j.Checkpoint(epc)
-	if state != nil {
-		if err := target.b.Restore(ctx, epc, state); err != nil {
-			target.fail(err)
-			return
+// moveLocked is the one session-migration primitive: it moves epc from
+// src to dst and pins the route to dst. Caller holds the write lock and
+// owns ctx.
+//
+// With exportable set, src is asked for the live session first. On
+// success the snapshot is saved as the EPC's checkpoint (journal
+// attached) and restored on dst; if that restore fails, it is restored
+// back onto src and the error returned. When src can't be asked (it is
+// down) or its export fails, the stroke is rebuilt on dst from the
+// journal instead: restore the checkpoint, or open with the recorded
+// options, then replay the tail; a src that failed to export is then
+// asked to discard its copy. An EPC src reports no session for and the
+// journal knows nothing of has ended: it loses its pin and src's
+// ErrUnknownEPC is returned (a dead src can't report, so a brand-new
+// stroke there is simply pinned to dst). A completed move pins dst and
+// counts one migration; any other failure is returned, leaving the EPC
+// routed to src. dst is charged a health failure only when ctx is
+// still live.
+func (r *Router) moveLocked(ctx context.Context, epc string, src, dst *routerBackend, exportable bool) error {
+	var exportErr error
+	if exportable {
+		state, err := src.b.Export(ctx, epc)
+		if err == nil {
+			if j := r.journal; j != nil {
+				if covered, cerr := core.SnapshotCovered(state); cerr == nil {
+					_ = j.SaveCheckpoint(epc, covered, state)
+				}
+			}
+			if err := dst.b.Restore(ctx, epc, state); err != nil {
+				err = fmt.Errorf("router: backend %s: %w", dst.name, err)
+				if rerr := src.b.Restore(context.WithoutCancel(ctx), epc, state); rerr != nil {
+					return errors.Join(err, fmt.Errorf("router: backend %s: restore-back: %w", src.name, rerr))
+				}
+				return err
+			}
+			r.pinLocked(epc, dst)
+			return nil
 		}
-	} else if opts, ok := j.Options(epc); ok {
-		if err := target.b.Open(ctx, epc, opts); err != nil && !errors.Is(err, ErrSessionLimit) {
-			target.fail(err)
-			return
-		}
+		exportErr = fmt.Errorf("router: backend %s: %w", src.name, err)
 	}
-	if replay := j.Replay(epc, covered); len(replay) > 0 {
-		target.dispatched.Add(uint64(len(replay)))
-		if err := target.b.DispatchBatch(ctx, replay); err != nil {
-			target.dropped.Add(uint64(len(replay)))
-			target.fail(err)
-			return
-		}
+	var state []byte
+	var covered int
+	var opts OpenOptions
+	var hasOpts bool
+	var replay []reader.Sample
+	if j := r.journal; j != nil {
+		state, covered = j.Checkpoint(epc)
+		opts, hasOpts = j.Options(epc)
+		replay = j.Replay(epc, covered)
 	}
-	target.ok()
-	r.overrides[epc] = target
+	if state == nil && !hasOpts && len(replay) == 0 && exportable {
+		if errors.Is(exportErr, ErrUnknownEPC) {
+			// Nothing live and nothing journaled: the stroke ended.
+			delete(r.overrides, epc)
+		}
+		return exportErr
+	}
+	err := func() error {
+		if state != nil {
+			if err := dst.b.Restore(ctx, epc, state); err != nil {
+				return err
+			}
+		} else if hasOpts {
+			if err := dst.b.Open(ctx, epc, opts); err != nil && !errors.Is(err, ErrSessionLimit) {
+				return err
+			}
+		}
+		if len(replay) > 0 {
+			dst.dispatched.Add(uint64(len(replay)))
+			if err := dst.b.DispatchBatch(ctx, replay); err != nil {
+				dst.dropped.Add(uint64(len(replay)))
+				return err
+			}
+		}
+		return nil
+	}()
+	if err != nil {
+		if ctx.Err() == nil {
+			dst.fail(err)
+		}
+		return errors.Join(exportErr, fmt.Errorf("router: backend %s: journal rebuild: %w", dst.name, err))
+	}
+	dst.ok()
+	if exportErr != nil && !errors.Is(exportErr, ErrUnknownEPC) {
+		// src failed to export but may still hold the session. Discard
+		// that copy, or the EPC's next stroke would join it once dst's
+		// stroke ends and the rendezvous routes back to src. A second
+		// Export removes it without the Evict event Finalize would
+		// publish. Best effort: the error is ignored.
+		_, _ = src.b.Export(ctx, epc)
+	}
+	r.pinLocked(epc, dst)
+	return nil
+}
+
+// pinLocked routes epc to rb until its stroke ends and counts the
+// completed migration. Caller holds the write lock.
+func (r *Router) pinLocked(epc string, rb *routerBackend) {
+	r.overrides[epc] = rb
 	if r.tel != nil {
 		r.tel.migrations.Inc()
 	}
 }
 
-// Handoff gracefully moves one EPC's live session to the named backend:
-// export from the current owner, restore on the target, pin the
+// Handoff gracefully moves one EPC's live session to the named backend
+// (moveLocked with an exportable source): export from the current
+// owner, checkpoint into the journal, restore on the target, pin the
 // override — the membership-change path, no shard death required. The
 // exported snapshot covers every sample dispatched before the call, so
-// no replay is needed. With a journal attached the snapshot is also
-// saved as the EPC's checkpoint. On a failed restore the session is
-// put back on the old owner.
+// no replay is needed. On a failed restore the session is put back on
+// the old owner; when the owner can't export, the stroke is rebuilt on
+// the target from the journal. An EPC with no live session and nothing
+// journaled returns the owner's ErrUnknownEPC and moves nothing.
 func (r *Router) Handoff(ctx context.Context, epc, backend string) error {
 	r.handoffMu.Lock()
 	defer r.handoffMu.Unlock()
@@ -916,28 +989,7 @@ func (r *Router) Handoff(ctx context.Context, epc, backend string) error {
 	if from == to {
 		return nil
 	}
-	state, err := from.b.Export(ctx, epc)
-	if err != nil {
-		return fmt.Errorf("router: backend %s: %w", from.name, err)
-	}
-	if j := r.journal; j != nil {
-		if covered, cerr := core.SnapshotCovered(state); cerr == nil {
-			_ = j.SaveCheckpoint(epc, covered, state)
-		}
-	}
-	if err := to.b.Restore(ctx, epc, state); err != nil {
-		if rerr := from.b.Restore(context.WithoutCancel(ctx), epc, state); rerr != nil {
-			return errors.Join(
-				fmt.Errorf("router: backend %s: %w", to.name, err),
-				fmt.Errorf("router: backend %s: restore-back: %w", from.name, rerr))
-		}
-		return fmt.Errorf("router: backend %s: %w", to.name, err)
-	}
-	r.overrides[epc] = to
-	if r.tel != nil {
-		r.tel.migrations.Inc()
-	}
-	return nil
+	return r.moveLocked(ctx, epc, from, to, true)
 }
 
 // Epoch returns the latest applied membership epoch (0 until the first
@@ -1184,11 +1236,9 @@ func (r *Router) drainBackend(ctx context.Context, rb *routerBackend) error {
 	return errors.Join(errs...)
 }
 
-// drainEPC moves one live session off a draining backend: export from
-// rb, restore on the healthiest target, re-pin — the Handoff path,
-// holding the write lock so no sample slips through mid-move. When rb
-// can't export (already lost the session, or unreachable) the journal
-// rebuild path (migrateLocked) recovers the stroke instead.
+// drainEPC moves one live session off a draining backend to the
+// healthiest target (moveLocked with an exportable source), holding the
+// write lock so no sample slips through mid-move.
 func (r *Router) drainEPC(ctx context.Context, epc string, from *routerBackend) error {
 	r.handoffMu.Lock()
 	defer r.handoffMu.Unlock()
@@ -1199,40 +1249,11 @@ func (r *Router) drainEPC(ctx context.Context, epc string, from *routerBackend) 
 	if to == nil {
 		return fmt.Errorf("router: drain %s: %s: %w: no healthy target", from.name, epc, ErrBackendUnavailable)
 	}
-	state, err := from.b.Export(ctx, epc)
-	if err != nil {
-		if j := r.journal; j != nil {
-			if st, covered := j.Checkpoint(epc); st != nil || len(j.Replay(epc, covered)) > 0 {
-				r.migrateLocked(ctx, epc, to)
-				return nil
-			}
-			if _, ok := j.Options(epc); ok {
-				r.migrateLocked(ctx, epc, to)
-				return nil
-			}
-		}
-		if errors.Is(err, ErrUnknownEPC) {
-			// Nothing live and nothing journaled: the session ended
-			// between enumeration and now. Drop the pin.
-			delete(r.overrides, epc)
-			return nil
-		}
+	// An EPC that no longer routes to from is drained even when the
+	// move reports ErrUnknownEPC: its stroke ended and lost its pin.
+	if err := r.moveLocked(ctx, epc, from, to, true); err != nil && r.resolveLocked(epc) == from {
 		return fmt.Errorf("router: drain %s: %s: %w", from.name, epc, err)
 	}
-	if j := r.journal; j != nil {
-		if covered, cerr := core.SnapshotCovered(state); cerr == nil {
-			_ = j.SaveCheckpoint(epc, covered, state)
-		}
-	}
-	if err := to.b.Restore(ctx, epc, state); err != nil {
-		if rerr := from.b.Restore(context.WithoutCancel(ctx), epc, state); rerr != nil {
-			return errors.Join(
-				fmt.Errorf("router: drain %s: %s: %w", to.name, epc, err),
-				fmt.Errorf("router: drain %s: %s: restore-back: %w", from.name, epc, rerr))
-		}
-		return fmt.Errorf("router: drain %s: %s: %w", to.name, epc, err)
-	}
-	r.overrides[epc] = to
 	return nil
 }
 
@@ -1260,9 +1281,15 @@ func (r *Router) removeBackend(rb *routerBackend) bool {
 // recording the options in the journal first so a failover before the
 // first checkpoint can re-open the session faithfully.
 func (r *Router) Open(ctx context.Context, epc string, opts OpenOptions) error {
+	if r.closed.Load() {
+		return ErrClosed
+	}
 	r.ensureRoutable(epc)
 	r.handoffMu.RLock()
 	defer r.handoffMu.RUnlock()
+	if r.closed.Load() {
+		return ErrClosed
+	}
 	if r.journal != nil {
 		if err := r.journal.RecordOpen(epc, opts); err != nil {
 			return fmt.Errorf("router: journal: %w", err)
@@ -1350,6 +1377,9 @@ func (r *Router) journalAppend(smp reader.Sample) error {
 // saturated shard. A failing backend drops only its own sub-batch; the
 // rest still dispatch. The joined errors are returned.
 func (r *Router) DispatchBatch(ctx context.Context, batch []reader.Sample) error {
+	if r.closed.Load() {
+		return ErrClosed
+	}
 	if len(batch) == 0 {
 		return nil
 	}
@@ -1364,6 +1394,9 @@ func (r *Router) DispatchBatch(ctx context.Context, batch []reader.Sample) error
 	}
 	r.handoffMu.RLock()
 	defer r.handoffMu.RUnlock()
+	if r.closed.Load() {
+		return ErrClosed
+	}
 	// Partition in first-seen order. The common case (a report from
 	// one reader, handful of pens) stays allocation-light.
 	type part struct {
@@ -1694,8 +1727,18 @@ func (r *Router) EventsDropped() uint64 { return r.hub.Dropped() }
 // Close stops the heartbeat and event forwarding, closes every backend
 // concurrently, and merges their results. When a failover left a stale
 // incarnation of an EPC on its former backend, the serving backend's
-// result wins.
+// result wins. Open and dispatch calls already in flight complete
+// first, so their samples are in the results; later ones fail with
+// ErrClosed. Close is idempotent; later calls return (nil, nil).
 func (r *Router) Close(ctx context.Context) (map[string]*core.Result, error) {
+	if r.closed.Swap(true) {
+		return nil, nil
+	}
+	// Wait out in-flight Open and dispatch calls (they hold the read
+	// side and recheck closed under it) and migrations, so none reaches
+	// a backend after it closed.
+	r.handoffMu.Lock()
+	r.handoffMu.Unlock()
 	r.StopHeartbeat()
 	backends := r.snapshotBackends()
 	results := make([]map[string]*core.Result, len(backends))

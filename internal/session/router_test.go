@@ -288,13 +288,10 @@ func TestRouterConcurrentCallbacks(t *testing.T) {
 		t.Fatalf("scenario produced %d EPCs, want %d", len(perEPC), pens)
 	}
 
-	sm := NewShardedManager(ShardedConfig{
-		Session: Config{
-			Tracker:     core.Config{Antennas: ants, Window: 0.25, CommitLag: 8},
-			EventBuffer: 1 << 12, // above the run's event count: no sheds
-		},
-		Shards: 4,
-	})
+	sm, _ := NewLocalRouter(Config{
+		Tracker:     core.Config{Antennas: ants, Window: 0.25, CommitLag: 8},
+		EventBuffer: 1 << 12, // above the run's event count: no sheds
+	}, 4)
 	ch, cancel := sm.SubscribeFiltered(context.Background(),
 		SubscribeOptions{Kinds: []EventKind{EventPoint, EventEvict}})
 	defer cancel()
@@ -312,9 +309,9 @@ func TestRouterConcurrentCallbacks(t *testing.T) {
 		}
 	}()
 
-	// Every pen streams from its own goroutine, so the four shard
-	// workers run hot simultaneously and their publishes genuinely
-	// overlap.
+	// Every pen streams from its own goroutine, so session workers on
+	// all four shards run hot simultaneously and their publishes
+	// genuinely overlap.
 	var wg sync.WaitGroup
 	for epc := range perEPC {
 		wg.Add(1)

@@ -72,7 +72,9 @@ type Config struct {
 	QueueSize int
 	// MaxSessions caps concurrently live sessions (default 64). When a
 	// new EPC would exceed the cap, the least-recently-active session
-	// is evicted: finalized and published as an EventEvict.
+	// is evicted: finalized on a goroutine of its own (the dispatch
+	// that triggered it does not wait) and published as an EventEvict.
+	// Close waits for those finalizations.
 	MaxSessions int
 	// DropWhenFull selects the backpressure policy for a full queue:
 	// false (default) blocks the dispatcher until the worker drains —
@@ -201,6 +203,7 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 	closed   bool
+	evicting sync.WaitGroup // LRU evictions still finalizing; Close waits
 }
 
 // NewManager builds a manager; zero Config fields take defaults.
@@ -376,11 +379,13 @@ func (m *Manager) CommittedPrefixes() map[string]geom.Polyline {
 
 // Dispatch routes one sample to its EPC's session, creating the
 // session on first sight (evicting the least-recently-active one if
-// the cap is reached). With DropWhenFull unset, Dispatch blocks while
-// the session queue is full. A sample racing an eviction of its own
-// session is re-dispatched into a fresh session rather than failing.
-func (m *Manager) Dispatch(smp reader.Sample) error {
-	return m.DispatchWith(smp, OpenOptions{})
+// the cap is reached, without waiting for its finalization; see
+// Config.MaxSessions). With DropWhenFull unset, Dispatch blocks while
+// the session queue is full, returning ctx.Err() if the context ends
+// first. A sample racing an eviction of its own session is
+// re-dispatched into a fresh session rather than failing.
+func (m *Manager) Dispatch(ctx context.Context, smp reader.Sample) error {
+	return m.DispatchWith(ctx, smp, OpenOptions{})
 }
 
 // DispatchWith is Dispatch with decode defaults for the implicit
@@ -389,7 +394,7 @@ func (m *Manager) Dispatch(smp reader.Sample) error {
 // alone). A live session keeps whatever configuration it was created
 // with. This is how connect-time client defaults pushed over opHello
 // reach sessions that were never explicitly opened.
-func (m *Manager) DispatchWith(smp reader.Sample, defaults OpenOptions) error {
+func (m *Manager) DispatchWith(ctx context.Context, smp reader.Sample, defaults OpenOptions) error {
 	for {
 		s, err := m.sessionFor(smp.EPC, defaults)
 		if err != nil {
@@ -401,7 +406,7 @@ func (m *Manager) DispatchWith(smp reader.Sample, defaults OpenOptions) error {
 		if m.tel != nil {
 			m.tel.queueDepth.Observe(depth)
 		}
-		switch err := s.enqueue(smp, m.cfg.DropWhenFull); err {
+		switch err := s.enqueue(ctx, smp, m.cfg.DropWhenFull); err {
 		case nil:
 			s.received.Add(1)
 			return nil
@@ -417,15 +422,15 @@ func (m *Manager) DispatchWith(smp reader.Sample, defaults OpenOptions) error {
 }
 
 // DispatchBatch routes a batch (e.g. one RO_ACCESS_REPORT) in order.
-func (m *Manager) DispatchBatch(batch []reader.Sample) error {
-	return m.DispatchBatchWith(batch, OpenOptions{})
+func (m *Manager) DispatchBatch(ctx context.Context, batch []reader.Sample) error {
+	return m.DispatchBatchWith(ctx, batch, OpenOptions{})
 }
 
 // DispatchBatchWith is DispatchBatch with implicit-create decode
 // defaults (see DispatchWith).
-func (m *Manager) DispatchBatchWith(batch []reader.Sample, defaults OpenOptions) error {
+func (m *Manager) DispatchBatchWith(ctx context.Context, batch []reader.Sample, defaults OpenOptions) error {
 	for _, smp := range batch {
-		if err := m.DispatchWith(smp, defaults); err != nil {
+		if err := m.DispatchWith(ctx, smp, defaults); err != nil {
 			return err
 		}
 	}
@@ -442,18 +447,21 @@ func (m *Manager) sessionFor(epc string, defaults OpenOptions) (*session, error)
 		m.mu.Unlock()
 		return s, nil
 	}
-	var evict *session
 	if len(m.sessions) >= m.cfg.MaxSessions {
-		evict = m.lruLocked()
+		// Finalize the evicted session off the dispatching goroutine: its
+		// drain and final decode must not stall the caller (or a shard
+		// server's read loop). Added under m.mu, so Close's Wait covers it.
+		evict := m.lruLocked()
 		delete(m.sessions, evict.epc)
+		m.evicting.Add(1)
+		go func() {
+			defer m.evicting.Done()
+			m.finalizeSession(evict)
+		}()
 	}
 	s := m.startSession(epc, defaults)
 	m.sessions[epc] = s
 	m.mu.Unlock()
-
-	if evict != nil {
-		m.finalizeSession(evict)
-	}
 	return s, nil
 }
 
@@ -604,8 +612,9 @@ func (s *session) run() {
 	}
 }
 
-// enqueue adds a sample under the session's backpressure policy.
-func (s *session) enqueue(smp reader.Sample, drop bool) error {
+// enqueue adds a sample under the session's backpressure policy; a
+// blocked enqueue gives up with ctx.Err() when ctx ends.
+func (s *session) enqueue(ctx context.Context, smp reader.Sample, drop bool) error {
 	s.sendMu.RLock()
 	defer s.sendMu.RUnlock()
 	if s.closed {
@@ -619,8 +628,12 @@ func (s *session) enqueue(smp reader.Sample, drop bool) error {
 		}
 		return nil
 	}
-	s.queue <- smp
-	return nil
+	select {
+	case s.queue <- smp:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // stop closes the queue and waits for the worker to drain it.
@@ -765,6 +778,7 @@ func (m *Manager) Close() map[string]*core.Result {
 	m.closed = true
 	m.mu.Unlock()
 	out := m.FinalizeAll()
+	m.evicting.Wait()
 	m.events.CloseAll()
 	return out
 }

@@ -53,7 +53,7 @@ func TestManagerDemux(t *testing.T) {
 	samples, truth, ants := penStreams(t, pens, 7)
 	m := NewManager(Config{Tracker: core.Config{Antennas: ants}})
 
-	if err := m.DispatchBatch(samples); err != nil {
+	if err := m.DispatchBatch(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	if m.Len() != pens {
@@ -86,7 +86,7 @@ func TestManagerDemux(t *testing.T) {
 			t.Fatalf("unexpected EPC %s", epc)
 		}
 	}
-	if err := m.Dispatch(reader.Sample{EPC: "dead"}); err != ErrClosed {
+	if err := m.Dispatch(context.Background(), reader.Sample{EPC: "dead"}); err != ErrClosed {
 		t.Fatalf("Dispatch after Close: got %v, want ErrClosed", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestManagerConcurrentDispatch(t *testing.T) {
 		go func(d int) {
 			defer wg.Done()
 			for i := d; i < len(samples); i += dispatches {
-				if err := m.Dispatch(samples[i]); err != nil {
+				if err := m.Dispatch(context.Background(), samples[i]); err != nil {
 					t.Errorf("dispatch: %v", err)
 					return
 				}
@@ -159,7 +159,7 @@ func TestBackpressureBlocking(t *testing.T) {
 				T: float64(i) * 0.005, Antenna: i % 2,
 				RSS: -50, Phase: 1, EPC: "pen-1",
 			}
-			if err := m.Dispatch(smp); err != nil {
+			if err := m.Dispatch(context.Background(), smp); err != nil {
 				t.Errorf("dispatch: %v", err)
 				return
 			}
@@ -202,7 +202,7 @@ func TestBackpressureDrop(t *testing.T) {
 			T: float64(i) * 0.005, Antenna: i % 2,
 			RSS: -50, Phase: 1, EPC: "pen-d",
 		}
-		if err := m.Dispatch(smp); err != nil {
+		if err := m.Dispatch(context.Background(), smp); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,8 +221,9 @@ func TestSessionEviction(t *testing.T) {
 		Tracker:     core.Config{Antennas: ants},
 		MaxSessions: 2,
 	})
-	// Evict events are published before the evicting call returns, so
-	// draining the buffered channel sees every eviction so far.
+	// An LRU eviction finalizes off the dispatching goroutine, so its
+	// Evict event is awaited. EvictIdle publishes before it returns, so
+	// draining the buffered channel then sees every eviction so far.
 	ch, cancel := m.SubscribeFiltered(context.Background(), SubscribeOptions{Kinds: []EventKind{EventEvict}})
 	defer cancel()
 	evicted := map[string]error{}
@@ -239,7 +240,7 @@ func TestSessionEviction(t *testing.T) {
 
 	push := func(epc string, t0 float64) {
 		for i := 0; i < 10; i++ {
-			_ = m.Dispatch(reader.Sample{
+			_ = m.Dispatch(context.Background(), reader.Sample{
 				T: t0 + float64(i)*0.01, Antenna: i % 2,
 				RSS: -50, Phase: 1, EPC: epc,
 			})
@@ -254,9 +255,14 @@ func TestSessionEviction(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("sessions = %d, want 2", m.Len())
 	}
-	drain()
-	if _, aEvicted := evicted["pen-a"]; !aEvicted {
-		t.Fatal("LRU session pen-a was not evicted")
+	deadline := time.After(5 * time.Second)
+	for _, aEvicted := evicted["pen-a"]; !aEvicted; _, aEvicted = evicted["pen-a"] {
+		select {
+		case ev := <-ch:
+			evicted[ev.EPC] = ev.Err
+		case <-deadline:
+			t.Fatal("LRU session pen-a was not evicted")
+		}
 	}
 
 	// Idle eviction: everything is idle relative to a zero cutoff.
@@ -297,7 +303,7 @@ func TestManyPensRace(t *testing.T) {
 		go func(epc string, stream []reader.Sample) {
 			defer wg.Done()
 			for _, smp := range stream {
-				if err := m.Dispatch(smp); err != nil {
+				if err := m.Dispatch(context.Background(), smp); err != nil {
 					t.Errorf("%s: %v", epc, err)
 					return
 				}
@@ -339,7 +345,7 @@ func ExampleManager() {
 	ants := motion.DefaultRig().Antennas()
 	m := NewManager(Config{Tracker: core.Config{Antennas: ants}})
 	for i := 0; i < 100; i++ {
-		_ = m.Dispatch(reader.Sample{
+		_ = m.Dispatch(context.Background(), reader.Sample{
 			T: float64(i) * 0.01, Antenna: i % 2, RSS: -50, Phase: 1, EPC: "pen",
 		})
 	}

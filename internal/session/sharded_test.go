@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -11,20 +12,24 @@ import (
 	"polardraw/internal/reader"
 )
 
+// liveSessions counts the tier's live sessions, as polardraw's
+// Client.Len does in process.
+func liveSessions(r *Router) int {
+	st, _ := r.Stats(context.Background())
+	return len(st)
+}
+
 // TestShardedDemuxMatchesBatch pushes a mixed multi-pen stream through
 // the sharded tier and requires, per EPC, exactly the batch-track
 // result for that EPC's sub-stream — the same contract the flat
-// Manager honours, now across shard ingress queues and workers.
+// Manager honours, now across shards.
 func TestShardedDemuxMatchesBatch(t *testing.T) {
 	const pens = 6
 	samples, _, ants := penStreams(t, pens, 9)
-	sm := NewShardedManager(ShardedConfig{
-		// 6 pens share the reader, so widen the window to keep every
-		// pen's dual-antenna read rate above the validity threshold.
-		Session: Config{Tracker: core.Config{Antennas: ants, Window: 0.2}},
-		Shards:  3,
-	})
-	if got := sm.Shards(); got != 3 {
+	// 6 pens share the reader, so widen the window to keep every pen's
+	// dual-antenna read rate above the validity threshold.
+	sm, batchTr := NewLocalRouter(Config{Tracker: core.Config{Antennas: ants, Window: 0.2}}, 3)
+	if got := len(sm.Backends()); got != 3 {
 		t.Fatalf("shards = %d, want 3", got)
 	}
 	if err := sm.DispatchBatch(context.Background(), samples); err != nil {
@@ -39,7 +44,6 @@ func TestShardedDemuxMatchesBatch(t *testing.T) {
 	}
 
 	perEPC := reader.SplitByEPC(samples)
-	batchTr := sm.Tracker()
 	for epc, res := range results {
 		want, err := batchTr.Track(perEPC[epc])
 		if err != nil {
@@ -72,21 +76,15 @@ func TestShardedDemuxMatchesBatch(t *testing.T) {
 func TestShardedStatsAndEviction(t *testing.T) {
 	const pens = 5
 	samples, _, ants := penStreams(t, pens, 11)
-	sm := NewShardedManager(ShardedConfig{
-		Session: Config{Tracker: core.Config{Antennas: ants}},
-		Shards:  4,
-	})
+	sm, _ := NewLocalRouter(Config{Tracker: core.Config{Antennas: ants}}, 4)
 	evicts := countEvicts(sm)
 	if err := sm.DispatchBatch(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the shard workers to drain so every session exists.
-	deadline := time.Now().Add(5 * time.Second)
-	for sm.Len() != pens {
-		if time.Now().After(deadline) {
-			t.Fatalf("sessions = %d, want %d", sm.Len(), pens)
-		}
-		time.Sleep(time.Millisecond)
+	// Dispatch enqueues straight into the sessions: every one exists
+	// once DispatchBatch returns.
+	if n := liveSessions(sm); n != pens {
+		t.Fatalf("sessions = %d, want %d", n, pens)
 	}
 	st, err := sm.Stats(context.Background())
 	if err != nil {
@@ -103,8 +101,8 @@ func TestShardedStatsAndEviction(t *testing.T) {
 	if n, _ := sm.EvictIdle(context.Background(), 0); n != pens {
 		t.Fatalf("evicted %d, want %d", n, pens)
 	}
-	if sm.Len() != 0 {
-		t.Fatalf("sessions after eviction = %d", sm.Len())
+	if n := liveSessions(sm); n != 0 {
+		t.Fatalf("sessions after eviction = %d", n)
 	}
 	sm.Close(context.Background())
 	got := 0
@@ -118,7 +116,7 @@ func TestShardedStatsAndEviction(t *testing.T) {
 
 // countEvicts subscribes to sm's Evict events and, once Close ends the
 // subscription, delivers how many arrived per EPC.
-func countEvicts(sm *ShardedManager) <-chan map[string]int {
+func countEvicts(sm *Router) <-chan map[string]int {
 	ch, _ := sm.SubscribeFiltered(context.Background(), SubscribeOptions{Kinds: []EventKind{EventEvict}})
 	out := make(chan map[string]int, 1)
 	go func() {
@@ -143,11 +141,7 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 	if len(perEPC) != pens {
 		t.Fatalf("scenario produced %d EPCs, want %d", len(perEPC), pens)
 	}
-	sm := NewShardedManager(ShardedConfig{
-		Session:   Config{Tracker: core.Config{Antennas: ants, Window: 0.3}},
-		Shards:    3,
-		QueueSize: 64,
-	})
+	sm, _ := NewLocalRouter(Config{Tracker: core.Config{Antennas: ants, Window: 0.3}}, 3)
 	evicts := countEvicts(sm)
 
 	epcs := make([]string, 0, pens)
@@ -172,8 +166,7 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 				}
 			}
 			if i%3 == 0 {
-				// Leave mid-stream from the pen's own goroutine: the
-				// result covers whatever the shard worker had drained.
+				// Leave mid-stream from the pen's own goroutine.
 				sm.Finalize(context.Background(), epc)
 			}
 		}(i, epc)
@@ -188,10 +181,10 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				sm.Len()
+				liveSessions(sm)
 				sm.Stats(context.Background())
 				sm.EvictIdle(context.Background(), time.Minute)
-				sm.Router().Health()
+				sm.Health()
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -218,40 +211,72 @@ func TestShardedJoinLeaveRace(t *testing.T) {
 	}
 }
 
-// TestShardedDropWhenFull verifies lossy ingress backpressure: a tiny
-// shard queue with a slow consumer must drop rather than block.
-func TestShardedDropWhenFull(t *testing.T) {
-	samples, _, ants := penStreams(t, 2, 17)
-	sm := NewShardedManager(ShardedConfig{
-		Session:      Config{Tracker: core.Config{Antennas: ants}, DropWhenFull: true},
-		Shards:       1,
-		QueueSize:    1,
-		DropWhenFull: true,
-	})
-	for _, smp := range samples {
-		if err := sm.Dispatch(context.Background(), smp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sm.Close(context.Background())
-	// With a one-deep ingress queue some samples must have been shed;
-	// the exact count is timing-dependent.
-	if sm.IngressDropped() == 0 {
-		t.Log("note: no ingress drops observed (fast consumer); counter still reachable")
-	}
-}
-
 // TestShardStability checks that an EPC always routes to the same
 // shard (the property per-EPC ordering rests on).
 func TestShardStability(t *testing.T) {
-	sm := NewShardedManager(ShardedConfig{Shards: 7})
+	sm, _ := NewLocalRouter(Config{}, 7)
 	defer sm.Close(context.Background())
 	for _, epc := range []string{"", "a", "E280-1160-6000-0001", "pen-042"} {
-		s0 := sm.Router().BackendFor(epc)
+		s0 := sm.BackendFor(epc)
 		for i := 0; i < 10; i++ {
-			if sm.Router().BackendFor(epc) != s0 {
+			if sm.BackendFor(epc) != s0 {
 				t.Fatalf("EPC %q moved shards", epc)
 			}
 		}
+	}
+}
+
+// TestLocalFinalizeCoversDispatched is the regression test for a local
+// Finalize that returned a truncated stroke while the stroke's last
+// reads still sat in a per-shard ingress queue (and then re-opened an
+// orphan session from them). Each pen's stroke is dispatched whole in
+// 16-read reports and finalized the moment its last DispatchBatch
+// returns, with no pause: the result must equal a single-threaded
+// decode of the same stroke, and Close must find nothing left to
+// finalize.
+func TestLocalFinalizeCoversDispatched(t *testing.T) {
+	const pens = 8
+	ctx := context.Background()
+	samples, _, ants := penStreams(t, pens, 31)
+	cfg := core.Config{Antennas: ants, Window: 0.3, BeamTopK: core.DefaultBeamTopK, CommitLag: core.DefaultCommitLag}
+	r, tr := NewLocalRouter(Config{Tracker: cfg}, 1)
+	evicts := countEvicts(r)
+
+	perEPC := reader.SplitByEPC(samples)
+	truncated := 0
+	for epc, stroke := range perEPC {
+		st := tr.Stream()
+		if err := st.Push(stroke...); err != nil {
+			t.Fatal(err)
+		}
+		want, err := st.Finalize()
+		if err != nil {
+			t.Fatalf("reference decode %s: %v", epc, err)
+		}
+		for lo := 0; lo < len(stroke); lo += 16 {
+			if err := r.DispatchBatch(ctx, stroke[lo:min(lo+16, len(stroke))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := r.Finalize(ctx, epc)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			truncated++
+		}
+	}
+	orphans, err := r.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finalized := <-evicts
+	notOnce := 0
+	for epc := range perEPC {
+		if finalized[epc] != 1 {
+			notOnce++
+		}
+	}
+	if truncated != 0 || len(orphans) != 0 || notOnce != 0 {
+		t.Fatalf("%d of %d strokes finalized right after dispatch differ from the reference; "+
+			"%d orphan sessions decoded at Close; %d pens not evicted exactly once",
+			truncated, pens, len(orphans), notOnce)
 	}
 }

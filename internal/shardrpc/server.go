@@ -546,7 +546,7 @@ func (sc *srvConn) readLoop() {
 				if seq <= cs.applied {
 					continue // duplicate from a resend; already applied
 				}
-				if err := m.DispatchWith(smp, sc.defaults); err != nil {
+				if err := m.DispatchWith(context.Background(), smp, sc.defaults); err != nil {
 					cs.rejected++
 				}
 				cs.applied = seq

@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -228,7 +229,7 @@ func TestHelloDefaultsEquivalence(t *testing.T) {
 	defer cl.Detach()
 
 	m := session.NewManager(sessionCfg(ants, 0, 0))
-	if err := m.DispatchBatchWith(samples, defaults); err != nil {
+	if err := m.DispatchBatchWith(context.Background(), samples, defaults); err != nil {
 		t.Fatal(err)
 	}
 	want := m.Close()
@@ -256,7 +257,7 @@ func TestHelloDefaultsEquivalence(t *testing.T) {
 	// Sanity: the defaults changed the decode — the same stream through
 	// the server's own configuration must differ.
 	plain := session.NewManager(sessionCfg(ants, 0, 0))
-	if err := plain.DispatchBatchWith(samples, session.OpenOptions{}); err != nil {
+	if err := plain.DispatchBatchWith(context.Background(), samples, session.OpenOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	base := plain.Close()

@@ -39,7 +39,6 @@ type clientConfig struct {
 	servers []string // remote mode: shard server addresses
 
 	queueSize   int
-	shardQueue  int
 	maxSessions int
 	drop        bool
 	eventBuffer int
@@ -141,12 +140,6 @@ func WithSpuriousPhase(radians float64) DecodeOption {
 // session.DefaultQueueSize).
 func WithSessionQueue(n int) Option {
 	return optionFunc(func(c *clientConfig) { c.queueSize = n })
-}
-
-// WithShardQueue bounds each shard's ingress queue (default
-// session.DefaultShardQueue; local shards only).
-func WithShardQueue(n int) Option {
-	return optionFunc(func(c *clientConfig) { c.shardQueue = n })
 }
 
 // WithMaxSessions caps live sessions per shard before LRU eviction
